@@ -287,16 +287,6 @@ def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:
     )
 
 
-def run_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Apply a circuit to a three-qubit state vector."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (8,):
-        raise ValueError("circuit input must be a three-qubit state vector")
-    for gate in circuit.gates:
-        psi = gate_matrix(gate) @ psi
-    return psi
-
-
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Composed 8x8 unitary of a circuit."""
     out = np.eye(8, dtype=np.complex128)

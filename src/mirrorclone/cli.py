@@ -94,30 +94,31 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _render_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_value(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _flatten(row: dict) -> dict:
+    """CSV cells of a row: a tuple value becomes columns name_0, name_1, ..."""
+    flat = {}
+    for name, value in row.items():
+        if isinstance(value, tuple):
+            flat.update((f"{name}_{i}", v) for i, v in enumerate(value))
+        else:
+            flat[name] = value
+    return flat
 
 
-def _render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _write_rows(rows: list[dict], cfg: SweepConfig) -> None:
+    """Write rows to stdout or cfg.output; CSV columns follow the row keys."""
+    if cfg.fmt == "csv":
+        flat = [_flatten(row) for row in rows]
+        lines = [",".join(flat[0])]
+        lines += [",".join(_fmt_value(v) for v in row.values()) for row in flat]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(rows, indent=2) + "\n"
+    if cfg.output is None:
         sys.stdout.write(text)
         return
-    with open(output, "w", encoding="utf-8", newline="\n") as fh:
+    with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _write_rows(rows: list[dict], columns: list[str], cfg: SweepConfig) -> None:
-    if cfg.fmt == "csv":
-        _emit(_render_csv(rows, columns), cfg.output)
-    else:
-        _emit(_render_json(rows), cfg.output)
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
@@ -142,7 +143,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
                 "C": pr.c,
             }
         )
-    _write_rows(rows, ["theta", "F_mpcc", "F_pcc", "F_uc", "Lambda", "A", "B", "C"], cfg)
+    _write_rows(rows, cfg)
     return 0
 
 
@@ -169,21 +170,7 @@ def cmd_bloch(cfg: SweepConfig, phi: float = 0.0) -> int:
                 "rz_perfect": math.cos(theta),
             }
         )
-    _write_rows(
-        rows,
-        [
-            "theta",
-            "rx_mpcc",
-            "rz_mpcc",
-            "rx_pcc",
-            "rz_pcc",
-            "rx_uc",
-            "rz_uc",
-            "rx_perfect",
-            "rz_perfect",
-        ],
-        cfg,
-    )
+    _write_rows(rows, cfg)
     return 0
 
 
@@ -198,6 +185,8 @@ _CERT_COLUMNS = [
     "half_fidelity_residual",
     "psd_ok",
     "saturation_ok",
+    "delta_spectrum",
+    "delta_closed_form",
 ]
 
 
@@ -210,27 +199,8 @@ def cmd_certify(cfg: SweepConfig) -> int:
         ok = cert.psd_ok and cert.saturation_ok and cert.fidelity_identity_residual <= cfg.tol
         if not ok:
             failures.append(theta)
-        row = {c: getattr(cert, c) for c in _CERT_COLUMNS}
-        row["delta_spectrum"] = list(cert.delta_spectrum)
-        row["delta_closed_form"] = list(cert.delta_closed_form)
-        rows.append(row)
-    if cfg.fmt == "csv":
-        flat = []
-        for row in rows:
-            out = {c: row[c] for c in _CERT_COLUMNS}
-            for i, v in enumerate(row["delta_spectrum"]):
-                out[f"delta_spectrum_{i}"] = v
-            for i, v in enumerate(row["delta_closed_form"]):
-                out[f"delta_closed_form_{i}"] = v
-            flat.append(out)
-        columns = (
-            _CERT_COLUMNS
-            + [f"delta_spectrum_{i}" for i in range(8)]
-            + [f"delta_closed_form_{i}" for i in range(4)]
-        )
-        _emit(_render_csv(flat, columns), cfg.output)
-    else:
-        _emit(_render_json(rows), cfg.output)
+        rows.append({c: getattr(cert, c) for c in _CERT_COLUMNS})
+    _write_rows(rows, cfg)
     if failures:
         print(
             "certificate failed at theta: " + ", ".join(f"{t:.17g}" for t in failures),
@@ -270,7 +240,7 @@ def cmd_circuits(cfg: SweepConfig, variant: str = "both", dump: str | None = Non
                 rows.append(
                     {"theta": theta, "variant": name, "input": idx, "residual": residual}
                 )
-    _write_rows(rows, ["theta", "variant", "input", "residual"], cfg)
+    _write_rows(rows, cfg)
     if dump is not None:
         with open(dump, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(dump_chunks))
@@ -310,11 +280,7 @@ def cmd_optimize(cfg: SweepConfig, seeds: int = 5) -> int:
                 "converged": best.converged,
             }
         )
-    _write_rows(
-        rows,
-        ["theta", "F_star", "F_mpcc", "gap", "pattern_defect", "iterations", "converged"],
-        cfg,
-    )
+    _write_rows(rows, cfg)
     return 0 if ok else 1
 
 

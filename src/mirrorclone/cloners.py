@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import partial_trace
+from .qcore import check_state, partial_trace
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,6 +52,13 @@ class MpccParams:
     a: float
     b: float
     c: float
+
+    @property
+    def fidelity(self) -> float:
+        """F = (1 + lam^2 cos(theta)^2 + sqrt(2) lam lam_bar sin(theta)^2) / 2."""
+        c_sq = math.cos(self.theta) ** 2
+        s_sq = math.sin(self.theta) ** 2
+        return 0.5 * (1.0 + self.a * c_sq + SQRT2 * self.lam * self.lam_bar * s_sq)
 
 
 def fidelity_for_amplitude(theta: float, lam: float) -> float:
@@ -100,16 +107,11 @@ def mpcc_params(theta: float) -> MpccParams:
 
 
 def mpcc_fidelity(theta: float) -> float:
-    """Optimal mirror-machine fidelity.
+    """Optimal mirror-machine fidelity, MpccParams.fidelity at the optimal amplitude.
 
-    F = (1 + lam^2 cos(theta)^2 + sqrt(2) lam lam_bar sin(theta)^2) / 2,
-    evaluated at the optimal amplitude.  Equals 1 at the poles, has the
-    global minimum 5/6 at cos(theta)^2 = 1/3.
+    Equals 1 at the poles, has the global minimum 5/6 at cos(theta)^2 = 1/3.
     """
-    pr = mpcc_params(theta)
-    c_sq = math.cos(theta) ** 2
-    s_sq = math.sin(theta) ** 2
-    return 0.5 * (1.0 + pr.a * c_sq + SQRT2 * pr.lam * pr.lam_bar * s_sq)
+    return mpcc_params(theta).fidelity
 
 
 def choi_from_weights(a: float, b: float, c: float) -> np.ndarray:
@@ -167,6 +169,7 @@ def clone(psi: np.ndarray, chi: np.ndarray):
     chi = np.asarray(chi)
     if psi.shape != (2,):
         raise ValueError("input must be a single-qubit state vector")
+    check_state(psi)
     if chi.shape != (8, 8):
         raise ValueError("process matrix must be 8x8")
     rho_in_t = np.outer(psi, psi.conj()).T
@@ -263,38 +266,3 @@ def uc_clone_bloch(theta: float, phi: float) -> np.ndarray:
             math.cos(theta),
         ]
     )
-
-
-_KINDS = ("mpcc", "pcc", "uc")
-
-
-@dataclass(frozen=True)
-class ClonerModel:
-    """One machine evaluated at one working polar angle.
-
-    For the mirror and phase-covariant machines theta parametrizes the
-    machine itself; for the universal machine it only selects the input
-    the clones are evaluated against.
-    """
-
-    kind: str
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown cloner kind {self.kind!r}")
-        _check_polar(self.theta)
-
-    def fidelity(self) -> float:
-        if self.kind == "mpcc":
-            return mpcc_fidelity(self.theta)
-        if self.kind == "pcc":
-            return pcc_fidelity(self.theta)
-        return uc_fidelity(2)
-
-    def clone_bloch(self, phi: float = 0.0) -> np.ndarray:
-        if self.kind == "mpcc":
-            return mpcc_clone_bloch(self.theta, phi)
-        if self.kind == "pcc":
-            return pcc_clone_bloch(self.theta, phi)
-        return uc_clone_bloch(self.theta, phi)

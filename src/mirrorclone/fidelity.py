@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import clone
+from .cloners import _check_polar, clone
 from .qcore import ID2, fidelity_pure, ket_from_angles
 
 KIND_UNIVERSAL = "universal"
@@ -28,11 +28,6 @@ KIND_PHASE_COVARIANT = "phase-covariant"
 KIND_MIRROR = "mirror-phase-covariant"
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _check_polar(theta: float) -> None:
-    if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
-        raise ValueError(f"polar angle {theta!r} outside [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,10 @@ def r_theta(theta: float) -> np.ndarray:
     return r
 
 
-def _gauss_legendre_polar(n_polar: int):
+def _polar_terms(prior: PriorDistribution, n_polar: int):
+    """(polar angle, weight) pairs: the atoms, or n_polar Gauss-Legendre nodes."""
+    if prior.kind != KIND_UNIVERSAL:
+        return prior.atoms
     # nodes in u = cos(theta); the polar density sin(theta)/2 becomes du/2
     nodes, weights = np.polynomial.legendre.leggauss(n_polar)
     return [(math.acos(u), w / 2.0) for u, w in zip(nodes, weights)]
@@ -97,12 +95,8 @@ def _gauss_legendre_polar(n_polar: int):
 
 def score_operator(prior: PriorDistribution) -> np.ndarray:
     """Score operator of a prior, assembled from the closed-form atoms."""
-    if prior.kind == KIND_UNIVERSAL:
-        terms = _gauss_legendre_polar(32)
-    else:
-        terms = prior.atoms
     out = np.zeros((8, 8))
-    for angle, weight in terms:
+    for angle, weight in _polar_terms(prior, 32):
         out += weight * r_theta(angle)
     return out
 
@@ -133,14 +127,10 @@ def score_operator_quadrature(
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
-    if prior.kind == KIND_UNIVERSAL:
-        if n_polar < 32:
-            raise ValueError("n_polar must be at least 32")
-        terms = _gauss_legendre_polar(n_polar)
-    else:
-        terms = prior.atoms
+    if prior.kind == KIND_UNIVERSAL and n_polar < 32:
+        raise ValueError("n_polar must be at least 32")
     acc = np.zeros((8, 8), dtype=np.complex128)
-    for angle, weight in terms:
+    for angle, weight in _polar_terms(prior, n_polar):
         acc += weight * _phi_averaged_score(angle, n_phi, phi_offset)
     resid = float(np.abs(acc.imag).max())
     if resid > 1e-13:
@@ -184,8 +174,4 @@ def average_fidelity_direct(
             total += 0.5 * (fidelity_pure(psi, rho1) + fidelity_pure(psi, rho2))
         return total / n_phi
 
-    if prior.kind == KIND_UNIVERSAL:
-        terms = _gauss_legendre_polar(n_polar)
-    else:
-        terms = prior.atoms
-    return sum(weight * phi_average(angle) for angle, weight in terms)
+    return sum(weight * phi_average(angle) for angle, weight in _polar_terms(prior, n_polar))

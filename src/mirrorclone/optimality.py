@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import mpcc_choi, mpcc_fidelity, mpcc_params, trace_over_outputs
+from .cloners import choi_from_weights, mpcc_choi, mpcc_params, trace_over_outputs
 from .fidelity import PriorDistribution, average_fidelity, score_operator
 
 PSD_TOL = 1e-10
@@ -78,9 +78,9 @@ def certificate(theta: float) -> OptimalityCertificate:
     psd_ok or saturation_ok is data for the caller to act on.
     """
     pr = mpcc_params(theta)
-    chi = mpcc_choi(theta)
+    chi = choi_from_weights(pr.a, pr.b, pr.c)
     score = score_operator(PriorDistribution.mirror(theta))
-    f = mpcc_fidelity(theta)
+    f = pr.fidelity
 
     lam_op = lagrange_operator(chi, score)
     lambda_scalar = complex(np.trace(lam_op)).real / 2.0
@@ -141,18 +141,20 @@ class OptimizeResult:
     min_eigenvalue: float
 
 
-def _psd_function(mat: np.ndarray, fn, rel_cutoff: float = 1e-12) -> np.ndarray:
-    """Apply fn to the spectrum of a PSD matrix, zeroing tiny eigenvalues.
+def _inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse square root of a PSD matrix on its support, and a kernel basis.
 
-    Eigenvalues whose square roots fall below rel_cutoff times the largest
-    singular value are treated as exact zeros (their image under fn is 0).
+    Eigenvalues whose square roots fall below 1e-12 times the largest
+    singular value are treated as exact zeros: the inverse square root
+    maps them to 0, and their eigenvectors are the kernel basis columns.
     """
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     w = np.clip(w, 0.0, None)
     sigma = np.sqrt(w)
-    keep = sigma > rel_cutoff * sigma.max()
-    out = np.where(keep, fn(np.where(keep, w, 1.0)), 0.0)
-    return (v * out) @ v.conj().T
+    keep = sigma > 1e-12 * sigma.max()
+    out = np.where(keep, np.where(keep, w, 1.0) ** -0.5, 0.0)
+    # eigh sorts ascending, so the kernel eigenvectors come first
+    return (v * out) @ v.conj().T, v[:, : keep.size - np.count_nonzero(keep)]
 
 
 def _sandwich_input(m: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -166,7 +168,7 @@ def random_trace_preserving_choi(rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     w = g @ g.conj().T
     d = trace_over_outputs(w)
-    s = np.kron(_psd_function(d, lambda x: x**-0.5), np.eye(4))
+    s = np.kron(_inv_sqrt(d)[0], np.eye(4))
     return s @ w @ s
 
 
@@ -212,18 +214,20 @@ def optimize_map(
     score_t = score.T.copy()
     eye2 = np.eye(2)
 
-    def inv_sqrt(x):
-        return x**-0.5
-
     for iterations in range(1, max_iter + 1):
         mid = score @ chi @ score
-        chi = _sandwich_input(_psd_function(trace_over_outputs(mid), inv_sqrt), mid)
+        inv, kernel = _inv_sqrt(trace_over_outputs(mid))
+        chi = _sandwich_input(inv, mid)
+        if kernel.size:
+            # inputs the score ignores get the completely depolarizing
+            # output, so the iterate stays trace preserving
+            chi = chi + np.kron(kernel @ kernel.conj().T, np.eye(4)) / 4.0
         chi = (chi + chi.conj().T) / 2.0
 
         d = trace_over_outputs(chi)
         defect = float(np.abs(d - eye2).max())
         max_tp_defect = max(max_tp_defect, defect)
-        chi = _sandwich_input(_psd_function(d, inv_sqrt), chi)
+        chi = _sandwich_input(_inv_sqrt(d)[0], chi)
         chi = (chi + chi.conj().T) / 2.0
 
         min_eigenvalue = min(min_eigenvalue, float(np.linalg.eigvalsh(chi)[0]))

@@ -36,7 +36,6 @@ from mirrorclone.circuits import (
     propagator_coefficients,
     rotation_angle,
     roty,
-    run_circuit,
     serialize_circuit,
 )
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_isometry_apply, mpcc_params
@@ -185,8 +184,8 @@ def test_rotation_angle_values():
 
 def test_circuit_v1_pole_cases():
     circ = circuit_mpcc_v1(0.0)
-    assert np.abs(run_circuit(circ, basis(0)) - basis(0)).max() < 1e-12
-    assert np.abs(run_circuit(circ, basis(4)) - basis(7)).max() < 1e-12
+    assert np.abs(circuit_matrix(circ) @ basis(0) - basis(0)).max() < 1e-12
+    assert np.abs(circuit_matrix(circ) @ basis(4) - basis(7)).max() < 1e-12
 
 
 def test_circuit_v1_gate_list():
@@ -200,7 +199,7 @@ def test_circuit_v1_gate_list():
 def test_circuit_v1_equator_superposition():
     theta = math.pi / 2
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    out = run_circuit(circuit_mpcc_v1(theta), start_state(psi))
+    out = circuit_matrix(circuit_mpcc_v1(theta)) @ start_state(psi)
     ok, residual = equal_up_to_global_phase(out, mpcc_isometry_apply(theta, psi))
     assert ok and residual < 1e-10
 
@@ -210,7 +209,7 @@ def test_circuit_v1_matches_isometry(rng):
         circ = circuit_mpcc_v1(float(theta))
         for _ in range(3):
             psi = haar_random_state(rng)
-            out = run_circuit(circ, start_state(psi))
+            out = circuit_matrix(circ) @ start_state(psi)
             ok, residual = equal_up_to_global_phase(out, mpcc_isometry_apply(float(theta), psi))
             assert ok, (theta, residual)
 
@@ -318,17 +317,12 @@ def test_circuit_v2_matches_isometry(rng, kappa):
         circ = circuit_mpcc_v2(float(theta), kappa)
         for _ in range(3):
             psi = haar_random_state(rng)
-            out = run_circuit(circ, start_state(psi))
+            out = circuit_matrix(circ) @ start_state(psi)
             ok, residual = equal_up_to_global_phase(out, mpcc_isometry_apply(float(theta), psi))
             assert ok, (theta, kappa, residual)
 
 
 # --- plumbing -------------------------------------------------------------------
-
-
-def test_run_circuit_validation():
-    with pytest.raises(ValueError):
-        run_circuit(circuit_mpcc_v1(0.5), np.zeros(4))
 
 
 def test_circuit_matrix_is_unitary():

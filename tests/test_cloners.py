@@ -13,7 +13,6 @@ import pytest
 
 from mirrorclone.cloners import (
     FIDELITY_MINIMUM_ANGLE,
-    ClonerModel,
     MpccParams,
     check_choi,
     choi_from_weights,
@@ -255,6 +254,10 @@ def test_clone_validation():
         clone(np.array([1.0, 0.0, 0.0]), mpcc_choi(1.0))
     with pytest.raises(ValueError):
         clone(np.array([1.0, 0.0]), np.eye(4))
+    with pytest.raises(ValueError):
+        clone(np.array([2.0, 0.0]), mpcc_choi(1.0))  # not unit norm
+    with pytest.raises(ValueError):
+        clone(np.array([math.nan, 0.0]), mpcc_choi(1.0))
 
 
 def test_isometry_preserves_norm_and_validates(rng):
@@ -345,16 +348,3 @@ def test_uc_clone_bloch_shrinks_input():
         [math.sin(0.9) * math.cos(0.3), math.sin(0.9) * math.sin(0.3), math.cos(0.9)]
     )
     assert np.abs(v - want).max() < 1e-15
-
-
-def test_cloner_model_dispatch():
-    theta = 1.1
-    assert ClonerModel("mpcc", theta).fidelity() == mpcc_fidelity(theta)
-    assert ClonerModel("pcc", theta).fidelity() == pcc_fidelity(theta)
-    assert ClonerModel("uc", theta).fidelity() == uc_fidelity(2)
-    assert np.array_equal(ClonerModel("mpcc", theta).clone_bloch(0.2), mpcc_clone_bloch(theta, 0.2))
-    assert np.array_equal(ClonerModel("uc", theta).clone_bloch(), uc_clone_bloch(theta, 0.0))
-    with pytest.raises(ValueError):
-        ClonerModel("other", theta)
-    with pytest.raises(ValueError):
-        ClonerModel("mpcc", -1.0)

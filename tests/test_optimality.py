@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_choi, mpcc_fidelity, trace_over_outputs
+from mirrorclone.cloners import (
+    FIDELITY_MINIMUM_ANGLE,
+    check_choi,
+    mpcc_choi,
+    mpcc_fidelity,
+    pcc_fidelity,
+    trace_over_outputs,
+)
 from mirrorclone.fidelity import PriorDistribution, score_operator
 from mirrorclone.optimality import (
     OptimalityCertificate,
@@ -118,6 +125,19 @@ def test_optimizer_reaches_the_closed_form(theta):
         assert res.min_eigenvalue > -1e-10
         assert len(res.fidelity_history) == res.iterations + 1
         assert res.f_star == max(res.fidelity_history)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+@pytest.mark.parametrize(
+    "prior, f_ref",
+    [(PriorDistribution.phase_covariant, pcc_fidelity), (PriorDistribution.mirror, mpcc_fidelity)],
+)
+def test_optimizer_returns_a_channel_at_the_poles(theta, prior, f_ref):
+    # the phase-covariant score at a pole ignores one input state entirely;
+    # the returned process must still be trace preserving on that input
+    res = optimize_map(score_operator(prior(theta)), seed=4)
+    check_choi(res.chi_star)
+    assert abs(res.f_star - f_ref(theta)) < 1e-6
 
 
 def test_optimizer_contract_in_the_slow_convergence_band():

@@ -13,16 +13,12 @@ from mirrorclone.qcore import (
     PAULI_Y,
     PAULI_Z,
     bloch_vector,
-    check_density_matrix,
     check_state,
-    eig_hermitian,
-    evolve,
     fidelity_pure,
     haar_random_state,
     ket_from_angles,
     num_qubits,
     partial_trace,
-    tensor,
 )
 
 
@@ -69,25 +65,6 @@ def test_num_qubits():
     for dim in (0, 1, 3, 6, 16):
         with pytest.raises(ValueError):
             num_qubits(dim)
-
-
-def test_tensor_matches_kron(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.array_equal(tensor(a, b), np.kron(a, b))
-    # left factor is most significant: |1> tensor |0> lands on index 2
-    v = tensor(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert v[2] == 1.0 and np.count_nonzero(v) == 1
-    three = tensor(ID2, PAULI_X, PAULI_Z)
-    assert three.shape == (8, 8)
-    assert np.array_equal(three, np.kron(np.kron(ID2, PAULI_X), PAULI_Z))
-
-
-def test_tensor_rejects_mixed_kinds():
-    with pytest.raises(TypeError):
-        tensor(np.array([1.0, 0.0]), ID2)
-    with pytest.raises(TypeError):
-        tensor(np.zeros((2, 2, 2)), ID2)
 
 
 def test_partial_trace_product_state(rng):
@@ -157,51 +134,6 @@ def test_bloch_vector_axis_states():
         bloch_vector(np.eye(4))
 
 
-def test_eig_hermitian_reconstructs(rng):
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    h = a + a.conj().T
-    w, v = eig_hermitian(h, vectors=True)
-    assert np.all(np.diff(w) >= 0)
-    assert np.abs((v * w) @ v.conj().T - h).max() < 1e-12
-
-
-def test_eig_hermitian_rejects_nonhermitian(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    with pytest.raises(ValueError):
-        eig_hermitian(a)
-
-
-def test_evolve_matches_taylor_series(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (a + a.conj().T) / 2.0
-    psi = haar_random_state(rng, 2)
-    t = 0.05
-    # independent oracle: truncated exponential series
-    term = psi.astype(np.complex128)
-    series = term.copy()
-    for k in range(1, 12):
-        term = (-1j * t / k) * (h @ term)
-        series += term
-    out = evolve(h, t, psi)
-    assert np.abs(out - series).max() < 1e-12
-    assert abs(np.linalg.norm(evolve(h, 7.3, psi)) - 1.0) < 1e-12
-
-
-def test_evolve_pauli_z_known_phases():
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    out = evolve(PAULI_Z, 0.4, plus)
-    want = np.array([np.exp(-0.4j), np.exp(0.4j)]) / math.sqrt(2.0)
-    assert np.abs(out - want).max() < 1e-14
-
-
-def test_evolve_validation(rng):
-    psi = haar_random_state(rng)
-    with pytest.raises(ValueError):
-        evolve(ID2, math.inf, psi)
-    with pytest.raises(ValueError):
-        evolve(np.eye(4), 1.0, psi)
-
-
 def test_haar_random_state_basics():
     a = haar_random_state(np.random.default_rng(5), 3)
     b = haar_random_state(np.random.default_rng(5), 3)
@@ -215,14 +147,3 @@ def test_check_state():
     assert check_state(psi) is psi
     with pytest.raises(ValueError):
         check_state(np.array([1.0, 1.0]))
-
-
-def test_check_density_matrix(rng):
-    rho = random_density(rng, 4)
-    assert check_density_matrix(rho) is rho
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        check_density_matrix(ID2)  # trace 2
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
