@@ -182,22 +182,25 @@ def clone(psi: np.ndarray, chi: np.ndarray):
 
 
 def trace_over_outputs(op: np.ndarray) -> np.ndarray:
-    """Partial trace of an (input x output) operator over the 4-dim output."""
+    """Partial trace over the 4-dim output of an (input x output) operator or a stack of them."""
     op = np.asarray(op)
-    if op.shape != (8, 8):
+    if op.shape[-2:] != (8, 8):
         raise ValueError("operator must be 8x8")
-    return np.einsum("iaja->ij", op.reshape(2, 4, 2, 4))
+    return np.einsum("...iaja->...ij", op.reshape(*op.shape[:-2], 2, 4, 2, 4))
 
 
 def check_choi(chi: np.ndarray, atol_tp: float = 1e-10, atol_psd: float = 1e-10) -> np.ndarray:
     """Validate that chi is a completely positive trace-preserving process.
 
-    Checks Hermiticity, positivity of the spectrum down to -atol_psd, and
-    that the partial trace over both clones is the identity on the input.
+    Checks that the entries are finite, Hermiticity, positivity of the
+    spectrum down to -atol_psd, and that the partial trace over both clones
+    is the identity on the input.
     """
     chi = np.asarray(chi)
     if chi.shape != (8, 8):
         raise ValueError("process matrix must be 8x8")
+    if not np.isfinite(chi).all():
+        raise ValueError("process matrix has non-finite entries")
     herm = float(np.abs(chi - chi.conj().T).max())
     if herm > 1e-12:
         raise ValueError(f"process matrix not Hermitian: deviation {herm:.3e}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import choi_from_weights, mpcc_choi, mpcc_params, trace_over_outputs
-from .fidelity import PriorDistribution, average_fidelity, score_operator
+from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params, trace_over_outputs
+from .fidelity import PriorDistribution, score_operator
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
@@ -125,10 +125,14 @@ def certificate(theta: float) -> OptimalityCertificate:
 class OptimizeResult:
     """Outcome of one fixed-point optimization run.
 
-    fidelity_history records Tr(chi R) after every iteration (the first
-    entry is the random start); max_tp_defect is the worst raw
-    trace-preservation deviation seen before renormalization, and
-    min_eigenvalue the most negative chi eigenvalue encountered.
+    chi_star is the best iterate seen and f_star its fidelity; it passes
+    check_choi.  iterations counts update steps, converged says whether the
+    last step changed the fidelity by less than tol (otherwise the run hit
+    max_iter), and residual is that last change.  fidelity_history records
+    Tr(chi R) after every iteration (the first entry is the random start);
+    max_tp_defect is the worst raw trace-preservation deviation seen before
+    renormalization, and min_eigenvalue the most negative chi eigenvalue
+    encountered over all iterates.
     """
 
     chi_star: np.ndarray
@@ -141,35 +145,151 @@ class OptimizeResult:
     min_eigenvalue: float
 
 
-def _inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse square root of a PSD matrix on its support, and a kernel basis.
+_EYE4 = np.eye(4)[:, None, :]
 
-    Eigenvalues whose square roots fall below 1e-12 times the largest
-    singular value are treated as exact zeros: the inverse square root
-    maps them to 0, and their eigenvectors are the kernel basis columns.
+
+def _lift(m: np.ndarray) -> np.ndarray:
+    """m tensor id4 for a 2x2 matrix or a stack of them."""
+    return (m[..., :, None, :, None] * _EYE4).reshape(*m.shape[:-2], 8, 8)
+
+
+def _trace_preserving(op: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rescale PSD op, or a stack of them, with h = Tr_out(op) to a trace-preserving map.
+
+    Returns (m tensor id4) op (m tensor id4) with m = h^(-1/2) on the
+    support of h.  For 2x2 h with s = sqrt(det h) that is the closed form
+    m = ((tr + s) I - h) / (s sqrt(tr + 2 s)).  When s <= 1e-12 tr the
+    smaller eigenvalue's square root is below 1e-12 times the larger one's
+    and counts as an exact zero: h = tr P has rank one, m = P / sqrt(tr),
+    and the inputs in the kernel, I - P, get the completely depolarizing
+    output (I - P) tensor id4 / 4.
     """
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    sigma = np.sqrt(w)
-    keep = sigma > 1e-12 * sigma.max()
-    out = np.where(keep, np.where(keep, w, 1.0) ** -0.5, 0.0)
-    # eigh sorts ascending, so the kernel eigenvectors come first
-    return (v * out) @ v.conj().T, v[:, : keep.size - np.count_nonzero(keep)]
-
-
-def _sandwich_input(m: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """(m tensor id4) op (m tensor id4) without forming the Kronecker factors."""
-    blocks = op.reshape(2, 4, 2, 4)
-    return np.einsum("ac,cidj,db->aibj", m, blocks, m).reshape(8, 8)
+    h00, h11 = h[..., :1, :1], h[..., 1:, 1:]  # shaped (..., 1, 1) to broadcast
+    tr = (h00 + h11).real
+    s = np.sqrt(np.maximum((h00 * h11 - h[..., :1, 1:] * h[..., 1:, :1]).real, 0.0))
+    rank_one = (s <= 1e-12 * tr)[..., 0, 0]
+    kernel = rank_one.any()
+    den = s * np.sqrt(tr + 2.0 * s)
+    den[rank_one] = 1.0  # m is replaced there below
+    m = ((tr + s) * np.eye(2) - h) / den
+    if kernel:
+        p = h[rank_one] / tr[rank_one]
+        m[rank_one] = p / np.sqrt(tr[rank_one])
+    lift = _lift(m)
+    out = lift @ op @ lift
+    if kernel:
+        out[rank_one] += _lift(np.eye(2) - p) / 4.0
+    return out
 
 
 def random_trace_preserving_choi(rng: np.random.Generator) -> np.ndarray:
     """Random full-rank trace-preserving process matrix (Ginibre start)."""
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     w = g @ g.conj().T
-    d = trace_over_outputs(w)
-    s = np.kron(_inv_sqrt(d)[0], np.eye(4))
-    return s @ w @ s
+    return _trace_preserving(w, trace_over_outputs(w))
+
+
+def _check_scores(scores) -> np.ndarray:
+    """A non-empty (N, 8, 8) stack of finite, Hermitian, PSD, nonzero scores, as complex."""
+    scores = np.asarray(scores, dtype=complex)
+    if scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
+        raise ValueError("score matrices must be 8x8, stacked as (N, 8, 8) with N >= 1")
+    if not np.isfinite(scores).all():
+        raise ValueError("score matrices must be finite")
+    scale = np.abs(scores).max(axis=(1, 2))
+    if (np.abs(scores - scores.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
+        raise ValueError("score matrices must be Hermitian")
+    if (np.linalg.eigvalsh(scores)[:, 0] < -1e-12 * scale).any() or not scale.all():
+        raise ValueError("score matrices must be positive semidefinite and nonzero")
+    return scores
+
+
+def optimize_batch(
+    scores: np.ndarray,
+    seeds: list[int],
+    tol: float = 1e-12,
+    max_iter: int = 60000,
+) -> list[OptimizeResult]:
+    """Run optimize_map on each (score, seed) pair, all runs stepped together.
+
+    scores is an (N, 8, 8) stack and seeds holds N start seeds; the result
+    list is in the same order.  Every run takes the same steps, stop and
+    bookkeeping as a lone optimize_map call, and leaves the stack when it
+    stops, so its result does not depend on the other runs in the batch.
+    Raises ValueError for a score that is not a finite Hermitian PSD
+    nonzero 8x8 matrix, and if a returned chi_star fails check_choi.
+    """
+    scores = _check_scores(scores)
+    seeds = list(seeds)
+    if len(seeds) != len(scores):
+        raise ValueError("need one seed per score matrix")
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+    n = len(seeds)
+    eye2 = np.eye(2)
+    chi = np.array([random_trace_preserving_choi(np.random.default_rng(s)) for s in seeds])
+    score_t = scores.swapaxes(1, 2)
+    f = (chi * score_t).sum(axis=(1, 2)).real
+    best_f = f.copy()
+    best_chi = chi.copy()
+    max_tp_defect = np.abs(trace_over_outputs(chi) - eye2).max(axis=(1, 2))
+    min_eigenvalue = np.linalg.eigvalsh(chi)[:, 0]
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    residual = np.full(n, math.inf)
+    history = [[v] for v in f.tolist()]
+
+    active = np.arange(n)
+    score = scores
+    for step in range(1, max_iter + 1):
+        mid = score @ chi @ score
+        chi = _trace_preserving(mid, trace_over_outputs(mid))
+        chi = (chi + chi.conj().swapaxes(1, 2)) / 2.0
+
+        d = trace_over_outputs(chi)
+        defect = np.abs(d - eye2).max(axis=(1, 2))
+        max_tp_defect[active] = np.maximum(max_tp_defect[active], defect)
+        chi = _trace_preserving(chi, d)
+        chi = (chi + chi.conj().swapaxes(1, 2)) / 2.0
+
+        min_eigenvalue[active] = np.minimum(min_eigenvalue[active], np.linalg.eigvalsh(chi)[:, 0])
+        f_new = (chi * score_t).sum(axis=(1, 2)).real
+        change = np.abs(f_new - f)
+        f = f_new
+        for k, v in zip(active.tolist(), f_new.tolist()):
+            history[k].append(v)
+        better = f_new > best_f[active]
+        best_f[active[better]] = f_new[better]
+        best_chi[active[better]] = chi[better]
+        iterations[active] = step
+        residual[active] = change
+        done = change < tol
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            active, chi, score, score_t, f = active[keep], chi[keep], score[keep], score_t[keep], f[keep]
+            if not active.size:
+                break
+
+    results = []
+    for k in range(n):
+        check_choi(best_chi[k])
+        results.append(
+            OptimizeResult(
+                chi_star=best_chi[k],
+                f_star=float(best_f[k]),
+                iterations=int(iterations[k]),
+                converged=bool(converged[k]),
+                residual=float(residual[k]),
+                fidelity_history=tuple(history[k]),
+                max_tp_defect=float(max_tp_defect[k]),
+                min_eigenvalue=float(min_eigenvalue[k]),
+            )
+        )
+    return results
 
 
 def optimize_map(
@@ -180,9 +300,12 @@ def optimize_map(
 ) -> OptimizeResult:
     """Maximize Tr(chi R) over trace-preserving channels by fixed-point iteration.
 
-    Stops when the per-iteration fidelity change drops below tol.  Each
-    step renormalizes the iterate back to exact trace preservation; the
-    raw defect before renormalization is tracked in the result.
+    Starts from random_trace_preserving_choi(default_rng(seed)) and stops
+    when the per-iteration fidelity change drops below tol.  Each step
+    renormalizes the iterate back to exact trace preservation; the raw
+    defect before renormalization is tracked in the result.  The score must
+    be a finite Hermitian PSD nonzero 8x8 matrix, else ValueError.  One run
+    of optimize_batch, which steps many runs at once.
 
     Convergence is linear and becomes very slow in narrow bands around
     theta ~ 0.32 and ~ 1.4 (and their mirrors), where unlucky starts gain
@@ -191,67 +314,7 @@ def optimize_map(
     promise; callers trading accuracy for speed can lower max_iter and
     rely on multi-start.
     """
-    score = np.asarray(score)
-    if score.shape != (8, 8):
-        raise ValueError("score matrix must be 8x8")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
-    rng = np.random.default_rng(seed)
-    chi = random_trace_preserving_choi(rng)
-    f = average_fidelity(chi, score)
-    history = [f]
-    best_f = f
-    best_chi = chi
-    max_tp_defect = float(np.abs(trace_over_outputs(chi) - np.eye(2)).max())
-    min_eigenvalue = float(np.linalg.eigvalsh(chi)[0])
-    converged = False
-    residual = math.inf
-    iterations = 0
-
-    score_t = score.T.copy()
-    eye2 = np.eye(2)
-
-    for iterations in range(1, max_iter + 1):
-        mid = score @ chi @ score
-        inv, kernel = _inv_sqrt(trace_over_outputs(mid))
-        chi = _sandwich_input(inv, mid)
-        if kernel.size:
-            # inputs the score ignores get the completely depolarizing
-            # output, so the iterate stays trace preserving
-            chi = chi + np.kron(kernel @ kernel.conj().T, np.eye(4)) / 4.0
-        chi = (chi + chi.conj().T) / 2.0
-
-        d = trace_over_outputs(chi)
-        defect = float(np.abs(d - eye2).max())
-        max_tp_defect = max(max_tp_defect, defect)
-        chi = _sandwich_input(_inv_sqrt(d)[0], chi)
-        chi = (chi + chi.conj().T) / 2.0
-
-        min_eigenvalue = min(min_eigenvalue, float(np.linalg.eigvalsh(chi)[0]))
-        f_new = float((chi * score_t).sum().real)
-        residual = abs(f_new - f)
-        f = f_new
-        history.append(f_new)
-        if f_new > best_f:
-            best_f = f_new
-            best_chi = chi
-        if residual < tol:
-            converged = True
-            break
-
-    return OptimizeResult(
-        chi_star=best_chi,
-        f_star=best_f,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        fidelity_history=tuple(history),
-        max_tp_defect=max_tp_defect,
-        min_eigenvalue=min_eigenvalue,
-    )
+    return optimize_batch(np.asarray(score)[None], [seed], tol, max_iter)[0]
 
 
 def choi_pattern_defect(chi: np.ndarray, theta: float) -> float:

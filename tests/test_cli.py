@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mirrorclone.cli import SweepConfig, check_grid, main, uniform_grid
+from mirrorclone.cli import MAX_OPTIMIZE_RUNS, MAX_STEPS, SweepConfig, check_grid, main, uniform_grid
 from mirrorclone.circuits import circuit_mpcc_v1, circuit_mpcc_v2, parse_circuit
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_fidelity, mpcc_params, pcc_fidelity
 
@@ -42,6 +42,7 @@ def test_sweep_config_defaults():
         {"tol": math.nan},
         {"fmt": "xml"},
         {"theta_min": math.inf},
+        {"steps": MAX_STEPS + 1},
     ],
 )
 def test_sweep_config_rejects(kwargs):
@@ -249,6 +250,19 @@ def test_optimize_gap_independent_of_seed_count(tmp_path):
 def test_optimize_rejects_bad_seed_count(capsys):
     assert main(["optimize", "--seeds", "0", "--steps", "2"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "bloch", "certify", "circuits", "optimize"])
+def test_steps_above_the_cap_exit_2(command, capsys):
+    assert main([command, "--steps", str(MAX_STEPS + 1)]) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+def test_optimize_runs_above_the_cap_exit_2(capsys):
+    # rejected before any score is built or run is stacked
+    steps = MAX_OPTIMIZE_RUNS // 4 + 1
+    assert main(["optimize", "--steps", str(steps), "--seeds", "4"]) == 2
+    assert "steps x seeds" in capsys.readouterr().err
 
 
 # --- error handling ----------------------------------------------------------------

@@ -229,6 +229,8 @@ def test_check_choi_rejects_bad_matrices():
     neg[0, 7] = neg[7, 0] = 1.5  # negative eigenvalue, still TP
     with pytest.raises(ValueError):
         check_choi(neg)
+    with pytest.raises(ValueError):
+        check_choi(np.full((8, 8), np.nan))
 
 
 # --- channel application ----------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorclone.cloners import (
     FIDELITY_MINIMUM_ANGLE,
@@ -12,6 +14,7 @@ from mirrorclone.cloners import (
     mpcc_fidelity,
     pcc_fidelity,
     trace_over_outputs,
+    uc_fidelity,
 )
 from mirrorclone.fidelity import PriorDistribution, score_operator
 from mirrorclone.optimality import (
@@ -19,6 +22,7 @@ from mirrorclone.optimality import (
     certificate,
     choi_pattern_defect,
     lagrange_operator,
+    optimize_batch,
     optimize_map,
     proportionality_defect,
     random_trace_preserving_choi,
@@ -182,3 +186,58 @@ def test_optimize_map_validation():
         optimize_map(score, tol=0.0)
     with pytest.raises(ValueError):
         optimize_map(score, max_iter=0)
+    with pytest.raises(ValueError):
+        optimize_map(-np.eye(8), max_iter=200)  # Hermitian but not PSD
+    with pytest.raises(ValueError):
+        optimize_map(np.full((8, 8), np.nan))
+    with pytest.raises(ValueError):
+        optimize_map(np.zeros((8, 8)))
+    skew = score.astype(complex)
+    skew[0, 5] += 1e-3j
+    with pytest.raises(ValueError):
+        optimize_map(skew)
+    with pytest.raises(ValueError):
+        optimize_batch(np.stack([score, score]), seeds=[0])
+
+
+def test_batch_runs_equal_their_lone_calls():
+    # finished runs leave the stack at different steps, and the phase-covariant
+    # pole takes the kernel completion, yet each run stays bitwise its own
+    scores = [
+        score_operator(PriorDistribution.mirror(0.47)),
+        score_operator(PriorDistribution.phase_covariant(0.0)),
+        score_operator(PriorDistribution.universal()),
+        score_operator(PriorDistribution.mirror(0.47)),
+    ]
+    seeds = [2, 4, 7, 11]
+    batch = optimize_batch(np.stack(scores), seeds, max_iter=600)
+    assert len({res.iterations for res in batch}) > 1
+    for score, seed, res in zip(scores, seeds, batch, strict=True):
+        alone = optimize_map(score, seed=seed, max_iter=600)
+        assert res.chi_star.tobytes() == alone.chi_star.tobytes()
+        assert res.f_star == alone.f_star
+        assert res.iterations == alone.iterations
+        assert res.converged == alone.converged
+        assert res.fidelity_history == alone.fidelity_history
+
+
+_PRIORS = {
+    "mirror": (PriorDistribution.mirror, mpcc_fidelity),
+    "phase_covariant": (PriorDistribution.phase_covariant, pcc_fidelity),
+    "universal": (lambda theta: PriorDistribution.universal(), lambda theta: uc_fidelity(2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PRIORS))
+@settings(max_examples=20, deadline=None)
+@given(theta=st.floats(0.0, math.pi), seed=st.integers(0, 2**32 - 1))
+@example(theta=0.0, seed=0)
+@example(theta=math.pi / 2, seed=0)
+@example(theta=math.pi, seed=0)
+@example(theta=FIDELITY_MINIMUM_ANGLE, seed=0)
+def test_optimizer_returns_a_channel_below_the_closed_form(kind, theta, seed):
+    prior, closed_form = _PRIORS[kind]
+    res = optimize_map(score_operator(prior(theta)), seed=seed, max_iter=50)
+    check_choi(res.chi_star)
+    # feasible iterates can approach the optimum only from below
+    assert max(res.fidelity_history) <= closed_form(theta) + 1e-9
