@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloners import SQRT2, mpcc_params
-from .qcore import ID2, PAULI_X
+from .qcore import ID2, PAULI_X, check_state
 
 # reflection that conjugates a bit flip into a Hadamard: A X A = H, A A = id
 HADAMARD_CONJUGATOR = np.array(
@@ -304,6 +304,8 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("states must have equal shape")
+    check_state(a)
+    check_state(b)
     residual = 1.0 - abs(complex(np.vdot(a, b)))
     return residual <= tol, residual
 

@@ -180,22 +180,6 @@ def cmd_bloch(cfg: SweepConfig, phi: float = 0.0) -> int:
     return 0
 
 
-_CERT_COLUMNS = [
-    "theta",
-    "lambda_scalar",
-    "trace_gap",
-    "fidelity_identity_residual",
-    "spectrum_residual",
-    "proportionality",
-    "weights_form_residual",
-    "half_fidelity_residual",
-    "psd_ok",
-    "saturation_ok",
-    "delta_spectrum",
-    "delta_closed_form",
-]
-
-
 def cmd_certify(cfg: SweepConfig) -> int:
     rows = []
     failures = []
@@ -205,7 +189,7 @@ def cmd_certify(cfg: SweepConfig) -> int:
         ok = cert.psd_ok and cert.saturation_ok and cert.fidelity_identity_residual <= cfg.tol
         if not ok:
             failures.append(theta)
-        rows.append({c: getattr(cert, c) for c in _CERT_COLUMNS})
+        rows.append(dict(vars(cert)))
     _write_rows(rows, cfg)
     if failures:
         print(

@@ -152,6 +152,7 @@ def mpcc_isometry_apply(theta: float, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != (2,):
         raise ValueError("input must be a single-qubit state vector")
+    check_state(psi)
     pr = mpcc_params(theta)
     h = pr.lam_bar / SQRT2
     image0 = np.array([pr.lam, 0, 0, h, 0, h, 0, 0], dtype=np.complex128)

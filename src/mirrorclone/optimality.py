@@ -55,13 +55,12 @@ class OptimalityCertificate:
     printed forms of the multiplier scale are recorded as residuals
     against Tr(lam)/2: weights_form_residual for
     ((1+cos^2)a + 2b + 2 sin^2 c)/4 and half_fidelity_residual for F/2.
+    The field order is the column order of `mirror-clone certify`.
     """
 
     theta: float
     lambda_scalar: float
     trace_gap: float
-    delta_spectrum: tuple[float, ...]
-    delta_closed_form: tuple[float, float, float, float]
     fidelity_identity_residual: float
     spectrum_residual: float
     proportionality: float
@@ -69,6 +68,8 @@ class OptimalityCertificate:
     half_fidelity_residual: float
     psd_ok: bool
     saturation_ok: bool
+    delta_spectrum: tuple[float, ...]
+    delta_closed_form: tuple[float, float, float, float]
 
 
 def certificate(theta: float) -> OptimalityCertificate:
@@ -126,23 +127,18 @@ class OptimizeResult:
     """Outcome of one fixed-point optimization run.
 
     chi_star is the best iterate seen and f_star its fidelity; it passes
-    check_choi.  iterations counts update steps, converged says whether the
-    last step changed the fidelity by less than tol (otherwise the run hit
-    max_iter), and residual is that last change.  fidelity_history records
-    Tr(chi R) after every iteration (the first entry is the random start);
-    max_tp_defect is the worst raw trace-preservation deviation seen before
-    renormalization, and min_eigenvalue the most negative chi eigenvalue
-    encountered over all iterates.
+    check_choi.  iterations counts update steps, and converged says whether
+    the last step changed the fidelity by less than tol (otherwise the run
+    hit max_iter).  fidelity_history records Tr(chi R) after every
+    iteration (the first entry is the random start); its last two entries
+    give that last change.
     """
 
     chi_star: np.ndarray
     f_star: float
     iterations: int
     converged: bool
-    residual: float
     fidelity_history: tuple[float, ...]
-    max_tp_defect: float
-    min_eigenvalue: float
 
 
 _EYE4 = np.eye(4)[:, None, :]
@@ -153,17 +149,20 @@ def _lift(m: np.ndarray) -> np.ndarray:
     return (m[..., :, None, :, None] * _EYE4).reshape(*m.shape[:-2], 8, 8)
 
 
-def _trace_preserving(op: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rescale PSD op, or a stack of them, with h = Tr_out(op) to a trace-preserving map.
+def _trace_preserving(op: np.ndarray) -> np.ndarray:
+    """Rescale PSD op, or a stack of them, to a trace-preserving map.
 
     Returns (m tensor id4) op (m tensor id4) with m = h^(-1/2) on the
-    support of h.  For 2x2 h with s = sqrt(det h) that is the closed form
-    m = ((tr + s) I - h) / (s sqrt(tr + 2 s)).  When s <= 1e-12 tr the
-    smaller eigenvalue's square root is below 1e-12 times the larger one's
-    and counts as an exact zero: h = tr P has rank one, m = P / sqrt(tr),
-    and the inputs in the kernel, I - P, get the completely depolarizing
-    output (I - P) tensor id4 / 4.
+    support of h = Tr_out(op).  For 2x2 h with s = sqrt(det h) that is the
+    closed form m = (s I + adj h) / (s sqrt(tr + 2 s)), with adj h = tr I - h
+    read off h's entries: the subtraction would lose the smaller eigenvalue
+    when h is ill-conditioned.  When s <= 1e-12 tr the smaller eigenvalue's
+    square root is below 1e-12 times the larger one's and counts as an exact
+    zero: h = tr P has rank one, m = P / sqrt(tr), and the inputs in the
+    kernel, I - P, get the completely depolarizing output (I - P) tensor
+    id4 / 4.
     """
+    h = trace_over_outputs(op)
     h00, h11 = h[..., :1, :1], h[..., 1:, 1:]  # shaped (..., 1, 1) to broadcast
     tr = (h00 + h11).real
     s = np.sqrt(np.maximum((h00 * h11 - h[..., :1, 1:] * h[..., 1:, :1]).real, 0.0))
@@ -171,7 +170,9 @@ def _trace_preserving(op: np.ndarray, h: np.ndarray) -> np.ndarray:
     kernel = rank_one.any()
     den = s * np.sqrt(tr + 2.0 * s)
     den[rank_one] = 1.0  # m is replaced there below
-    m = ((tr + s) * np.eye(2) - h) / den
+    adj = -h
+    adj[..., 0, 0], adj[..., 1, 1] = h[..., 1, 1], h[..., 0, 0]
+    m = (s * np.eye(2) + adj) / den
     if kernel:
         p = h[rank_one] / tr[rank_one]
         m[rank_one] = p / np.sqrt(tr[rank_one])
@@ -186,7 +187,7 @@ def random_trace_preserving_choi(rng: np.random.Generator) -> np.ndarray:
     """Random full-rank trace-preserving process matrix (Ginibre start)."""
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     w = g @ g.conj().T
-    return _trace_preserving(w, trace_over_outputs(w))
+    return _trace_preserving(w)
 
 
 def _check_scores(scores) -> np.ndarray:
@@ -229,33 +230,20 @@ def optimize_batch(
         raise ValueError("max_iter must be at least 1")
 
     n = len(seeds)
-    eye2 = np.eye(2)
     chi = np.array([random_trace_preserving_choi(np.random.default_rng(s)) for s in seeds])
     score_t = scores.swapaxes(1, 2)
     f = (chi * score_t).sum(axis=(1, 2)).real
     best_f = f.copy()
     best_chi = chi.copy()
-    max_tp_defect = np.abs(trace_over_outputs(chi) - eye2).max(axis=(1, 2))
-    min_eigenvalue = np.linalg.eigvalsh(chi)[:, 0]
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    residual = np.full(n, math.inf)
     history = [[v] for v in f.tolist()]
 
     active = np.arange(n)
     score = scores
     for step in range(1, max_iter + 1):
-        mid = score @ chi @ score
-        chi = _trace_preserving(mid, trace_over_outputs(mid))
+        chi = _trace_preserving(score @ chi @ score)
         chi = (chi + chi.conj().swapaxes(1, 2)) / 2.0
-
-        d = trace_over_outputs(chi)
-        defect = np.abs(d - eye2).max(axis=(1, 2))
-        max_tp_defect[active] = np.maximum(max_tp_defect[active], defect)
-        chi = _trace_preserving(chi, d)
-        chi = (chi + chi.conj().swapaxes(1, 2)) / 2.0
-
-        min_eigenvalue[active] = np.minimum(min_eigenvalue[active], np.linalg.eigvalsh(chi)[:, 0])
         f_new = (chi * score_t).sum(axis=(1, 2)).real
         change = np.abs(f_new - f)
         f = f_new
@@ -265,7 +253,6 @@ def optimize_batch(
         best_f[active[better]] = f_new[better]
         best_chi[active[better]] = chi[better]
         iterations[active] = step
-        residual[active] = change
         done = change < tol
         if done.any():
             converged[active[done]] = True
@@ -283,10 +270,7 @@ def optimize_batch(
                 f_star=float(best_f[k]),
                 iterations=int(iterations[k]),
                 converged=bool(converged[k]),
-                residual=float(residual[k]),
                 fidelity_history=tuple(history[k]),
-                max_tp_defect=float(max_tp_defect[k]),
-                min_eigenvalue=float(min_eigenvalue[k]),
             )
         )
     return results
@@ -302,8 +286,8 @@ def optimize_map(
 
     Starts from random_trace_preserving_choi(default_rng(seed)) and stops
     when the per-iteration fidelity change drops below tol.  Each step
-    renormalizes the iterate back to exact trace preservation; the raw
-    defect before renormalization is tracked in the result.  The score must
+    applies the map and rescales the iterate to trace preservation once;
+    check_choi certifies the returned channel.  The score must
     be a finite Hermitian PSD nonzero 8x8 matrix, else ValueError.  One run
     of optimize_batch, which steps many runs at once.
 

@@ -100,7 +100,7 @@ def haar_random_state(rng: np.random.Generator, n_qubits: int = 1) -> np.ndarray
 def check_state(psi: np.ndarray, atol: float = ATOL) -> np.ndarray:
     """Validate unit norm; returns the input unchanged."""
     psi = np.asarray(psi)
-    norm = float(np.linalg.norm(psi))
+    norm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= atol:  # also rejects a NaN norm
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return psi

@@ -339,6 +339,12 @@ def test_equal_up_to_global_phase():
     assert not different and abs(residual - 1.0) < 1e-15
     with pytest.raises(ValueError):
         equal_up_to_global_phase(basis(0), np.zeros(4))
+    with pytest.raises(ValueError):
+        equal_up_to_global_phase(np.array([2.0, 0.0]), np.array([0.5, 0.0]))  # not unit norm
+    with pytest.raises(ValueError):
+        equal_up_to_global_phase(basis(0), 2.0 * basis(0))
+    with pytest.raises(ValueError):
+        equal_up_to_global_phase(np.array([math.nan, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_serialize_parse_round_trip():

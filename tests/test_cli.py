@@ -162,9 +162,20 @@ def test_certify_csv_flattens_arrays(tmp_path):
     out = tmp_path / "cert.csv"
     assert main(["certify", "--steps", "5", "--format", "csv", "--output", str(out)]) == 0
     rows = read_csv(out)
-    header = list(rows[0])
-    assert "delta_spectrum_0" in header and "delta_spectrum_7" in header
-    assert "delta_closed_form_3" in header
+    assert list(rows[0]) == [
+        "theta",
+        "lambda_scalar",
+        "trace_gap",
+        "fidelity_identity_residual",
+        "spectrum_residual",
+        "proportionality",
+        "weights_form_residual",
+        "half_fidelity_residual",
+        "psd_ok",
+        "saturation_ok",
+        *(f"delta_spectrum_{i}" for i in range(8)),
+        *(f"delta_closed_form_{i}" for i in range(4)),
+    ]
     assert rows[0]["psd_ok"] == "true"
 
 

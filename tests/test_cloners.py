@@ -269,6 +269,10 @@ def test_isometry_preserves_norm_and_validates(rng):
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         mpcc_isometry_apply(1.0, np.zeros(3))
+    with pytest.raises(ValueError):
+        mpcc_isometry_apply(1.0, np.array([2.0, 0.0]))  # not unit norm
+    with pytest.raises(ValueError):
+        mpcc_isometry_apply(1.0, np.array([math.nan, 0.0]))
 
 
 def test_clone_bloch_closed_form():

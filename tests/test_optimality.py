@@ -125,8 +125,7 @@ def test_optimizer_reaches_the_closed_form(theta):
         assert abs(res.f_star - f_ref) < 1e-8
         # feasible iterates can approach the optimum only from below
         assert max(res.fidelity_history) <= f_ref + 1e-9
-        assert res.max_tp_defect < 1e-10
-        assert res.min_eigenvalue > -1e-10
+        check_choi(res.chi_star)
         assert len(res.fidelity_history) == res.iterations + 1
         assert res.f_star == max(res.fidelity_history)
 
@@ -235,6 +234,9 @@ _PRIORS = {
 @example(theta=math.pi / 2, seed=0)
 @example(theta=math.pi, seed=0)
 @example(theta=FIDELITY_MINIMUM_ANGLE, seed=0)
+# near the poles Tr_out(R chi R) is ill-conditioned for phase-covariant priors
+@example(theta=0.001953125, seed=0)
+@example(theta=math.pi - 1e-3, seed=0)
 def test_optimizer_returns_a_channel_below_the_closed_form(kind, theta, seed):
     prior, closed_form = _PRIORS[kind]
     res = optimize_map(score_operator(prior(theta)), seed=seed, max_iter=50)
