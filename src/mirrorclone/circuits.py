@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloners import SQRT2, mpcc_params
-from .qcore import ID2, PAULI_X, check_state
+from .qcore import PAULI_X, check_state
 
 # reflection that conjugates a bit flip into a Hadamard: A X A = H, A A = id
 HADAMARD_CONJUGATOR = np.array(
@@ -58,6 +59,8 @@ class Gate:
             raise ValueError(f"{self.kind} takes {n_qubits} qubit indices")
         if len(self.params) != n_params:
             raise ValueError(f"{self.kind} takes {n_params} parameters")
+        if not all(isinstance(q, numbers.Integral) for q in self.qubits):
+            raise ValueError("qubit indices must be integers")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubit indices must be distinct")
         if any(q < 1 or q > 3 for q in self.qubits):
@@ -112,16 +115,20 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
 
 
-def _embed_single(u: np.ndarray, target: int) -> np.ndarray:
-    ops = [ID2, ID2, ID2]
-    ops[target - 1] = u
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+def _on(u: np.ndarray, qubits) -> np.ndarray:
+    """8x8 matrix of the 2^k x 2^k ``u`` on ``qubits`` (in that order), identity on the rest."""
+    order = [*qubits, *(q for q in (1, 2, 3) if q not in qubits)]
+    full = np.kron(u, np.eye(8 >> len(qubits))).reshape((2,) * 6)
+    axes = [order.index(q) for q in (1, 2, 3)]
+    return full.transpose(axes + [a + 3 for a in axes]).reshape(8, 8)
 
 
-def _embed_controlled(u: np.ndarray, control: int, target: int) -> np.ndarray:
-    p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    return _embed_single(p0, control) + _embed_single(p1, control) @ _embed_single(u, target)
+def _controlled(u: np.ndarray, n_controls: int, value: int = 1) -> np.ndarray:
+    """Block-diagonal: ``u`` on the last qubit when all n_controls controls read ``value``."""
+    out = np.eye(2 << n_controls, dtype=np.complex128)
+    k = value * (len(out) - 2)  # first index of the block whose controls all read value
+    out[k : k + 2, k : k + 2] = u
+    return out
 
 
 def _ry(angle: float) -> np.ndarray:
@@ -136,27 +143,17 @@ def _rz(angle: float) -> np.ndarray:
 def gate_matrix(gate: Gate) -> np.ndarray:
     """8x8 unitary of a gate on the three-qubit register."""
     kind = gate.kind
-    if kind == "ROTY":
-        return _embed_single(_ry(gate.params[0]), gate.qubits[0])
-    if kind == "NOT":
-        return _embed_single(PAULI_X, gate.qubits[0])
-    if kind == "CNOT":
-        return _embed_controlled(PAULI_X, *gate.qubits)
-    if kind == "CH":
-        conj = _embed_single(HADAMARD_CONJUGATOR, gate.qubits[1])
-        return conj @ _embed_controlled(PAULI_X, *gate.qubits) @ conj
-    if kind == "CR":
-        return _embed_controlled(_rz(gate.params[0]), gate.qubits[0], gate.qubits[1])
-    if kind in ("CCR", "CCR0"):
-        angle = gate.params[0]
-        base = 6 if kind == "CCR" else 0  # index of |pp0> for control value p
-        diag = np.ones(8, dtype=np.complex128)
-        diag[base] = cmath.exp(-0.5j * angle)
-        diag[base + 1] = cmath.exp(0.5j * angle)
-        return np.diag(diag)
     if kind == "EVOLVE":
         return eqneighbor_propagator(*gate.params)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if kind in ("NOT", "CNOT", "CH"):
+        u = PAULI_X
+    else:  # ROTY, or a phase rotation for CR, CCR and CCR0
+        u = (_ry if kind == "ROTY" else _rz)(gate.params[0])
+    m = _on(_controlled(u, len(gate.qubits) - 1, 0 if kind == "CCR0" else 1), gate.qubits)
+    if kind == "CH":
+        conj = _on(HADAMARD_CONJUGATOR, gate.qubits[1:])
+        m = conj @ m @ conj
+    return m
 
 
 def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:
@@ -205,28 +202,23 @@ def circuit_mpcc_v1(theta: float) -> Circuit:
 
 # --- exchange-interaction realization -------------------------------------
 
-_LOWER = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |1><0|
-_RAISE = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
+# |01><10| + |10><01|: swaps one excitation between two qubits
+EXCHANGE = np.zeros((4, 4), dtype=np.complex128)
+EXCHANGE[1, 2] = EXCHANGE[2, 1] = 1.0
 
 
 def eqneighbor_hamiltonian(kappa: float) -> np.ndarray:
     """Exchange Hamiltonian coupling every qubit pair with equal strength.
 
-    H = (kappa/2) * sum over ordered pairs n != m of
+    H = kappa * sum over the pairs (1,2), (1,3), (2,3) of EXCHANGE on that
+    pair, which equals (kappa/2) * sum over ordered pairs n != m of
     raise_n lower_m + lower_n raise_m.  Conserves the excitation number;
     within each single-defect sector every pair of basis states is coupled
     with matrix element kappa.
     """
     if not math.isfinite(kappa):
         raise ValueError("coupling rate must be finite")
-    h = np.zeros((8, 8), dtype=np.complex128)
-    for n in range(1, 4):
-        for m in range(1, 4):
-            if n == m:
-                continue
-            h += _embed_single(_RAISE, n) @ _embed_single(_LOWER, m)
-            h += _embed_single(_LOWER, n) @ _embed_single(_RAISE, m)
-    return (kappa / 2.0) * h
+    return kappa * sum(_on(EXCHANGE, pair) for pair in ((1, 2), (1, 3), (2, 3)))
 
 
 def eqneighbor_propagator(t: float, kappa: float) -> np.ndarray:

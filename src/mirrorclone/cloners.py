@@ -25,9 +25,12 @@ SQRT2 = math.sqrt(2.0)
 FIDELITY_MINIMUM_ANGLE = math.acos(math.sqrt(3.0) / 3.0)
 
 
-def _check_polar(theta: float) -> None:
+def _check_polar(theta: float, phi: float = 0.0) -> None:
+    """A polar angle in [0, pi] and a finite azimuth, or ValueError."""
     if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
         raise ValueError(f"polar angle {theta!r} outside [0, pi]")
+    if not math.isfinite(phi):
+        raise ValueError(f"azimuth {phi!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,8 @@ def clone(psi: np.ndarray, chi: np.ndarray):
     check_state(psi)
     if chi.shape != (8, 8):
         raise ValueError("process matrix must be 8x8")
-    rho_in_t = np.outer(psi, psi.conj()).T
-    big = chi @ np.kron(rho_in_t, np.eye(4))
-    # trace over the input factor (most significant qubit)
-    rho_out = np.einsum("iaib->ab", big.reshape(2, 4, 2, 4))
+    # Tr_in[chi (rho_in^T tensor id)] as one contraction over the input indices
+    rho_out = np.einsum("iajb,ij->ab", chi.reshape(2, 4, 2, 4), np.outer(psi, psi.conj()))
     rho1 = partial_trace(rho_out, [1])
     rho2 = partial_trace(rho_out, [2])
     return rho_out, rho1, rho2
@@ -221,6 +222,7 @@ def mpcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
      sqrt(2) lam lam_bar sin(theta) sin(phi),
      lam^2 cos(theta))
     """
+    _check_polar(theta, phi)
     pr = mpcc_params(theta)
     r_eq = SQRT2 * pr.lam * pr.lam_bar * math.sin(theta)
     return np.array([r_eq * math.cos(phi), r_eq * math.sin(phi), pr.a * math.cos(theta)])
@@ -234,7 +236,7 @@ def _pole_sign(theta: float) -> float:
 
 def pcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
     """Bloch vector of either clone of the phase-covariant machine."""
-    _check_polar(theta)
+    _check_polar(theta, phi)
     s = _pole_sign(theta)
     return np.array(
         [
@@ -255,14 +257,14 @@ def pcc_fidelity(theta: float) -> float:
 
 def uc_fidelity(n_copies: int = 2) -> float:
     """Fidelity (2M + 1)/(3M) of the symmetric 1-to-M universal machine."""
-    if int(n_copies) != n_copies or n_copies < 1:
+    if not (math.isfinite(n_copies) and int(n_copies) == n_copies >= 1):
         raise ValueError("number of copies must be an integer >= 1")
     return (2.0 * n_copies + 1.0) / (3.0 * n_copies)
 
 
 def uc_clone_bloch(theta: float, phi: float) -> np.ndarray:
     """Bloch vector of a universal-machine clone: the input shrunk by 2/3."""
-    _check_polar(theta)
+    _check_polar(theta, phi)
     return (2.0 / 3.0) * np.array(
         [
             math.sin(theta) * math.cos(phi),

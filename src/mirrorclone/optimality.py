@@ -87,7 +87,7 @@ def certificate(theta: float) -> OptimalityCertificate:
     lambda_scalar = complex(np.trace(lam_op)).real / 2.0
     trace_gap = complex(np.trace(lam_op)).real - f
 
-    delta = np.kron(lam_op, np.eye(4)) - score
+    delta = _lift(lam_op) - score
     delta = (delta + delta.conj().T) / 2.0
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(delta))
 

@@ -7,6 +7,7 @@ the simulated propagator.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -75,6 +76,10 @@ def test_gate_validation():
         Gate("CCR", (1, 3, 2), (0.1,))
     with pytest.raises(ValueError):
         Gate("EVOLVE", (2, 1, 3), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        Gate("CR", (1.5, 2), (0.1,))
+    with pytest.raises(ValueError):
+        Gate("NOT", (2.0,))
 
 
 @pytest.mark.parametrize(
@@ -93,6 +98,73 @@ def test_gate_validation():
 def test_gate_matrices_are_unitary(gate):
     u = gate_matrix(gate)
     assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
+
+
+# --- kron reference: the register layout spelled out qubit by qubit ----------
+
+P0 = np.diag([1.0, 0.0]).astype(np.complex128)
+P1 = np.diag([0.0, 1.0]).astype(np.complex128)
+X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def kron3(factors):
+    # factors maps qubit -> 2x2 matrix; qubit 1 is the leftmost factor
+    one, two, three = (factors.get(q, np.eye(2)) for q in (1, 2, 3))
+    return np.kron(np.kron(one, two), three)
+
+
+def controlled_reference(u, controls, target, value=1):
+    on = P1 if value == 1 else P0
+    fire = kron3({c: on for c in controls})
+    return np.eye(8) - fire + kron3({**{c: on for c in controls}, target: u})
+
+
+def reference_matrix(gate):
+    """The gate's 8x8 matrix built from kron products of one-qubit factors."""
+    kind, qubits, params = gate.kind, gate.qubits, gate.params
+    if kind == "ROTY":
+        c, s = math.cos(params[0] / 2.0), math.sin(params[0] / 2.0)
+        return kron3({qubits[0]: np.array([[c, -s], [s, c]], dtype=np.complex128)})
+    if kind == "NOT":
+        return kron3({qubits[0]: X})
+    if kind == "CNOT":
+        return controlled_reference(X, qubits[:1], qubits[1])
+    if kind == "CH":
+        conj = kron3({qubits[1]: HADAMARD_CONJUGATOR})
+        return conj @ controlled_reference(X, qubits[:1], qubits[1]) @ conj
+    rz = np.diag([cmath.exp(-0.5j * params[0]), cmath.exp(0.5j * params[0])])
+    return controlled_reference(rz, qubits[:-1], qubits[-1], 0 if kind == "CCR0" else 1)
+
+
+def all_placements():
+    for q in (1, 2, 3):
+        yield roty(q, 0.7)
+        yield not_gate(q)
+    for c, t in itertools.permutations((1, 2, 3), 2):
+        yield cnot(c, t)
+        yield ch(c, t)
+        yield cr(c, t, -1.1)
+    yield ccr(0.9)
+    yield ccr_open(-2.3)
+
+
+def placement_id(gate):
+    return gate.kind + "".join(map(str, gate.qubits))
+
+
+@pytest.mark.parametrize("gate", list(all_placements()), ids=placement_id)
+def test_gate_matrix_matches_kron_reference(gate):
+    assert np.array_equal(gate_matrix(gate), reference_matrix(gate))
+
+
+def test_hamiltonian_matches_ordered_pair_sum():
+    lower = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |1><0|
+    raise_ = lower.T
+    for kappa in (1.3, -0.4, 2.0):
+        h = np.zeros((8, 8), dtype=np.complex128)
+        for n, m in itertools.permutations((1, 2, 3), 2):
+            h += kron3({n: raise_, m: lower}) + kron3({n: lower, m: raise_})
+        assert np.array_equal(eqneighbor_hamiltonian(kappa), (kappa / 2.0) * h)
 
 
 def test_roty_zero_is_identity():

@@ -168,6 +168,10 @@ def test_polar_angle_validation():
             mpcc_params(bad)
         with pytest.raises(ValueError):
             pcc_fidelity(bad)
+    for bloch in (mpcc_clone_bloch, pcc_clone_bloch, uc_clone_bloch):
+        for bad_theta, bad_phi in ((-0.1, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                bloch(bad_theta, bad_phi)
 
 
 # --- process matrices -------------------------------------------------------
@@ -331,7 +335,7 @@ def test_uc_fidelity_formula():
     assert abs(uc_fidelity(2) - 5.0 / 6.0) < 1e-15
     assert uc_fidelity(1) == 1.0
     assert abs(uc_fidelity(5) - 11.0 / 15.0) < 1e-15
-    for bad in (0, -1, 1.5):
+    for bad in (0, -1, 1.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             uc_fidelity(bad)
 

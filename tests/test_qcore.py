@@ -124,6 +124,8 @@ def test_fidelity_pure_validation():
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with pytest.raises(ValueError):
         fidelity_pure(plus, skew)
+    with pytest.raises(ValueError):
+        fidelity_pure(np.array([2.0, 0.0]), np.eye(2) / 2)  # not unit norm
 
 
 def test_bloch_vector_axis_states():
