@@ -238,6 +238,8 @@ def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:
     |stay|^2 + 2|hop|^2 = 1.  The same pair governs both defect numbers.
     """
     kt = kappa * t
+    if not math.isfinite(kt):
+        raise ValueError("evolution time and coupling rate must be finite")
     stay = (cmath.exp(-2j * kt) + 2.0 * cmath.exp(1j * kt)) / 3.0
     hop = (2.0 / 3.0) * math.sin(1.5 * kt) * cmath.exp(-0.5j * (math.pi + kt))
     return stay, hop
@@ -287,10 +289,10 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     return out
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray):
     """Whether two unit vectors agree up to a global phase.
 
-    Returns (equal, residual) with residual = 1 - |<a|b>|.
+    Returns (equal, residual) with residual = 1 - |<a|b>|, equal when <= 1e-10.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -299,7 +301,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
     check_state(a)
     check_state(b)
     residual = 1.0 - abs(complex(np.vdot(a, b)))
-    return residual <= tol, residual
+    return residual <= 1e-10, residual
 
 
 def serialize_circuit(circuit: Circuit) -> str:

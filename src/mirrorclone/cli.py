@@ -250,7 +250,7 @@ def cmd_optimize(cfg: SweepConfig, seeds: int = 5) -> int:
     results = optimize_batch(
         np.repeat(scores, seeds, axis=0),
         [cfg.seed + offset for _ in grid for offset in range(seeds)],
-        tol=min(cfg.tol, 1e-11),
+        tol=1e-11,
         max_iter=4000,
     )
     rows = []
@@ -285,12 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SweepConfig()
 
-    def add_common(p: argparse.ArgumentParser, default_fmt: str) -> None:
+    def add_common(p: argparse.ArgumentParser, default_fmt: str, tol=False, seed=False) -> None:
         p.add_argument("--theta-min", type=float, default=defaults.theta_min)
         p.add_argument("--theta-max", type=float, default=defaults.theta_max)
         p.add_argument("--steps", type=int, default=defaults.steps, help=f"grid size, 2 to {MAX_STEPS}")
-        p.add_argument("--tol", type=float, default=defaults.tol)
-        p.add_argument("--seed", type=int, default=defaults.seed)
+        if tol:
+            p.add_argument("--tol", type=float, default=defaults.tol)
+        if seed:
+            p.add_argument("--seed", type=int, default=defaults.seed)
         p.add_argument("--format", choices=("csv", "json"), default=default_fmt)
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
@@ -298,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bloch = sub.add_parser("bloch", help="clone Bloch cross sections")
     add_common(p_bloch, "csv")
     p_bloch.add_argument("--phi", type=float, default=0.0, help="azimuth of the cut plane")
-    add_common(sub.add_parser("certify", help="optimality certificates"), "json")
+    add_common(sub.add_parser("certify", help="optimality certificates"), "json", tol=True)
     p_circ = sub.add_parser("circuits", help="circuit realizations vs the isometry")
-    add_common(p_circ, "csv")
+    add_common(p_circ, "csv", tol=True, seed=True)
     p_circ.add_argument("--variant", choices=("v1", "v2", "both"), default="both")
     p_circ.add_argument("--dump", default=None, help="also write serialized circuits here")
     p_opt = sub.add_parser("optimize", help="numerical optimizer vs the closed form")
-    add_common(p_opt, "csv")
+    add_common(p_opt, "csv", seed=True)
     seeds_help = f"independent random starts per angle (steps x seeds <= {MAX_OPTIMIZE_RUNS})"
     p_opt.add_argument("--seeds", type=int, default=5, help=seeds_help)
     return parser
@@ -317,8 +319,8 @@ def main(argv=None) -> int:
             theta_min=args.theta_min,
             theta_max=args.theta_max,
             steps=args.steps,
-            tol=args.tol,
-            seed=args.seed,
+            tol=getattr(args, "tol", SweepConfig.tol),
+            seed=getattr(args, "seed", SweepConfig.seed),
             fmt=args.format,
             output=args.output,
         )
@@ -330,9 +332,7 @@ def main(argv=None) -> int:
             return cmd_certify(cfg)
         if args.command == "circuits":
             return cmd_circuits(cfg, variant=args.variant, dump=args.dump)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, seeds=args.seeds)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_optimize(cfg, seeds=args.seeds)  # the last of the required choices
     except (ValueError, OSError) as exc:
         print(f"mirror-clone: error: {exc}", file=sys.stderr)
         return 2

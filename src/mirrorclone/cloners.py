@@ -191,12 +191,12 @@ def trace_over_outputs(op: np.ndarray) -> np.ndarray:
     return np.einsum("...iaja->...ij", op.reshape(*op.shape[:-2], 2, 4, 2, 4))
 
 
-def check_choi(chi: np.ndarray, atol_tp: float = 1e-10, atol_psd: float = 1e-10) -> np.ndarray:
+def check_choi(chi: np.ndarray) -> np.ndarray:
     """Validate that chi is a completely positive trace-preserving process.
 
-    Checks that the entries are finite, Hermiticity, positivity of the
-    spectrum down to -atol_psd, and that the partial trace over both clones
-    is the identity on the input.
+    Checks that the entries are finite, Hermiticity to 1e-12, positivity
+    of the spectrum down to -1e-10, and that the partial trace over both
+    clones is the identity on the input to 1e-10.
     """
     chi = np.asarray(chi)
     if chi.shape != (8, 8):
@@ -207,10 +207,10 @@ def check_choi(chi: np.ndarray, atol_tp: float = 1e-10, atol_psd: float = 1e-10)
     if herm > 1e-12:
         raise ValueError(f"process matrix not Hermitian: deviation {herm:.3e}")
     w = np.linalg.eigvalsh(chi)
-    if w[0] < -atol_psd:
+    if w[0] < -1e-10:
         raise ValueError(f"process matrix has negative eigenvalue {w[0]:.3e}")
     defect = float(np.abs(trace_over_outputs(chi) - np.eye(2)).max())
-    if defect > atol_tp:
+    if defect > 1e-10:
         raise ValueError(f"process matrix is not trace preserving: defect {defect:.3e}")
     return chi
 

@@ -7,10 +7,10 @@ two independent routes, a closed form (`r_theta`, `score_operator`) and a
 numerical quadrature over states (`score_operator_quadrature`,
 `average_fidelity_direct`); each route serves as the oracle for the other.
 
-The azimuth is uniform under every prior handled here.  Point priors on
-the polar angle are stored as (angle, weight) atoms; the universal prior
-is the continuous density sin(theta)/2, integrated by Gauss-Legendre
-quadrature in cos(theta).
+The azimuth is uniform under every prior handled here, and every prior
+is a list of (polar angle, weight) atoms.  The universal prior's atoms
+are the 32-point Gauss-Legendre nodes in cos(theta) of its density
+sin(theta)/2, exact for the polynomials in cos(theta) integrated here.
 """
 
 from __future__ import annotations
@@ -23,43 +23,47 @@ import numpy as np
 from .cloners import _check_polar, clone
 from .qcore import ID2, fidelity_pure, ket_from_angles
 
-KIND_UNIVERSAL = "universal"
-KIND_PHASE_COVARIANT = "phase-covariant"
-KIND_MIRROR = "mirror-phase-covariant"
-
 _TWO_PI = 2.0 * math.pi
+_N_PHI = 64  # azimuthal rectangle-rule nodes of the quadrature routes
+_N_POLAR = 32  # Gauss-Legendre nodes of the universal prior
 
 
 @dataclass(frozen=True)
 class PriorDistribution:
     """Prior over the input polar angle (azimuth always uniform).
 
-    atoms holds (polar angle, weight) point masses summing to one; it is
-    empty for the universal prior, whose polar density is sin(theta)/2.
+    atoms holds (polar angle, weight) point masses: every angle in
+    [0, pi], every weight finite and nonnegative, the weights summing to
+    one within 1e-12; anything else raises ValueError.
     """
 
-    kind: str
-    theta: float | None
     atoms: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        for angle, weight in self.atoms:
+            _check_polar(angle)
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValueError(f"prior weight {weight!r} is not finite and nonnegative")
+        total = sum(weight for _, weight in self.atoms)
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"prior weights sum to {total!r}, not 1")
 
     @staticmethod
     def mirror(theta: float) -> "PriorDistribution":
         """Equal-weight atoms on theta and its mirror image pi - theta."""
-        _check_polar(theta)
-        return PriorDistribution(
-            KIND_MIRROR, theta, ((theta, 0.5), (math.pi - theta, 0.5))
-        )
+        return PriorDistribution(((theta, 0.5), (math.pi - theta, 0.5)))
 
     @staticmethod
     def phase_covariant(theta: float) -> "PriorDistribution":
         """Single atom: the polar angle is known exactly."""
-        _check_polar(theta)
-        return PriorDistribution(KIND_PHASE_COVARIANT, theta, ((theta, 1.0),))
+        return PriorDistribution(((theta, 1.0),))
 
     @staticmethod
     def universal() -> "PriorDistribution":
-        """Uniform over the whole Bloch sphere."""
-        return PriorDistribution(KIND_UNIVERSAL, None, ())
+        """Uniform over the whole Bloch sphere, as Gauss-Legendre atoms."""
+        # nodes in u = cos(theta); the polar density sin(theta)/2 becomes du/2
+        nodes, weights = np.polynomial.legendre.leggauss(_N_POLAR)
+        return PriorDistribution(tuple((math.acos(u), w / 2.0) for u, w in zip(nodes, weights)))
 
 
 def r_theta(theta: float) -> np.ndarray:
@@ -84,54 +88,34 @@ def r_theta(theta: float) -> np.ndarray:
     return r
 
 
-def _polar_terms(prior: PriorDistribution, n_polar: int):
-    """(polar angle, weight) pairs: the atoms, or n_polar Gauss-Legendre nodes."""
-    if prior.kind != KIND_UNIVERSAL:
-        return prior.atoms
-    # nodes in u = cos(theta); the polar density sin(theta)/2 becomes du/2
-    nodes, weights = np.polynomial.legendre.leggauss(n_polar)
-    return [(math.acos(u), w / 2.0) for u, w in zip(nodes, weights)]
-
-
 def score_operator(prior: PriorDistribution) -> np.ndarray:
     """Score operator of a prior, assembled from the closed-form atoms."""
     out = np.zeros((8, 8))
-    for angle, weight in _polar_terms(prior, 32):
+    for angle, weight in prior.atoms:
         out += weight * r_theta(angle)
     return out
 
 
-def _phi_averaged_score(theta: float, n_phi: int, phi_offset: float) -> np.ndarray:
+def _phi_averaged_score(theta: float) -> np.ndarray:
     acc = np.zeros((8, 8), dtype=np.complex128)
-    for k in range(n_phi):
-        psi = ket_from_angles(theta, phi_offset + _TWO_PI * k / n_phi)
+    for k in range(_N_PHI):
+        psi = ket_from_angles(theta, _TWO_PI * k / _N_PHI)
         rho_in = np.outer(psi, psi.conj())
-        proj = rho_in  # same projector, reused on the clone factors
-        sym = 0.5 * (np.kron(proj, ID2) + np.kron(ID2, proj))
+        sym = 0.5 * (np.kron(rho_in, ID2) + np.kron(ID2, rho_in))
         acc += np.kron(rho_in.T, sym)
-    return acc / n_phi
+    return acc / _N_PHI
 
 
-def score_operator_quadrature(
-    prior: PriorDistribution,
-    n_phi: int = 64,
-    n_polar: int = 32,
-    phi_offset: float = 0.0,
-) -> np.ndarray:
+def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:
     """Score operator rebuilt from projectors by numerical quadrature.
 
-    The azimuthal average uses the n_phi-point rectangle rule, exact for
-    trigonometric polynomials of degree below n_phi - 1; the integrand
-    here has degree 2.  The universal prior additionally integrates the
-    polar angle by n_polar-point Gauss-Legendre in cos(theta).
+    The azimuthal average uses the 64-point rectangle rule, exact for
+    trigonometric polynomials of degree below 63; the integrand here has
+    degree 2.  The polar angle runs over the prior's atoms.
     """
-    if n_phi < 8:
-        raise ValueError("n_phi must be at least 8")
-    if prior.kind == KIND_UNIVERSAL and n_polar < 32:
-        raise ValueError("n_polar must be at least 32")
     acc = np.zeros((8, 8), dtype=np.complex128)
-    for angle, weight in _polar_terms(prior, n_polar):
-        acc += weight * _phi_averaged_score(angle, n_phi, phi_offset)
+    for angle, weight in prior.atoms:
+        acc += weight * _phi_averaged_score(angle)
     resid = float(np.abs(acc.imag).max())
     if resid > 1e-13:
         raise ArithmeticError(f"quadrature left imaginary residue {resid:.3e}")
@@ -150,28 +134,20 @@ def average_fidelity(chi: np.ndarray, score: np.ndarray) -> float:
     return val.real
 
 
-def average_fidelity_direct(
-    chi: np.ndarray,
-    prior: PriorDistribution,
-    n_phi: int = 64,
-    n_polar: int = 32,
-    phi_offset: float = 0.0,
-) -> float:
+def average_fidelity_direct(chi: np.ndarray, prior: PriorDistribution) -> float:
     """Mean clone fidelity by sending quadrature-sampled states through chi.
 
     Independent of the score-operator route: the channel is applied to
     each sampled input and both clones are compared with it directly.
     """
-    if n_phi < 8:
-        raise ValueError("n_phi must be at least 8")
     chi = np.asarray(chi)
 
     def phi_average(theta: float) -> float:
         total = 0.0
-        for k in range(n_phi):
-            psi = ket_from_angles(theta, phi_offset + _TWO_PI * k / n_phi)
+        for k in range(_N_PHI):
+            psi = ket_from_angles(theta, _TWO_PI * k / _N_PHI)
             _, rho1, rho2 = clone(psi, chi)
             total += 0.5 * (fidelity_pure(psi, rho1) + fidelity_pure(psi, rho2))
-        return total / n_phi
+        return total / _N_PHI
 
-    return sum(weight * phi_average(angle) for angle, weight in _polar_terms(prior, n_polar))
+    return sum(weight * phi_average(angle) for angle, weight in prior.atoms)

@@ -16,6 +16,7 @@ which preserves feasibility and climbs the fidelity functional.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,16 +219,17 @@ def optimize_batch(
     bookkeeping as a lone optimize_map call, and leaves the stack when it
     stops, so its result does not depend on the other runs in the batch.
     Raises ValueError for a score that is not a finite Hermitian PSD
-    nonzero 8x8 matrix, and if a returned chi_star fails check_choi.
+    nonzero 8x8 matrix, a non-integer seed or max_iter, a non-finite or
+    nonpositive tol, and if a returned chi_star fails check_choi.
     """
     scores = _check_scores(scores)
     seeds = list(seeds)
-    if len(seeds) != len(scores):
-        raise ValueError("need one seed per score matrix")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if len(seeds) != len(scores) or not all(isinstance(s, numbers.Integral) for s in seeds):
+        raise ValueError("need one integer seed per score matrix")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be finite and positive")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer of at least 1")
 
     n = len(seeds)
     chi = np.array([random_trace_preserving_choi(np.random.default_rng(s)) for s in seeds])

@@ -8,6 +8,7 @@ plain complex numpy arrays; functions are pure and return fresh arrays.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -49,6 +50,8 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
         raise ValueError("partial_trace expects a square matrix")
     n = num_qubits(rho.shape[0])
     keep = list(keep)
+    if not all(isinstance(q, numbers.Integral) for q in keep):
+        raise ValueError("keep indices must be integers")
     if len(set(keep)) != len(keep) or any(q < 1 or q > n for q in keep):
         raise ValueError(f"keep indices must be distinct integers in 1..{n}")
     if not keep or len(keep) == n:
@@ -98,10 +101,10 @@ def haar_random_state(rng: np.random.Generator, n_qubits: int = 1) -> np.ndarray
     return z / np.linalg.norm(z)
 
 
-def check_state(psi: np.ndarray, atol: float = ATOL) -> np.ndarray:
-    """Validate unit norm; returns the input unchanged."""
+def check_state(psi: np.ndarray) -> np.ndarray:
+    """Validate unit norm to ATOL; returns the input unchanged."""
     psi = np.asarray(psi)
     norm = math.sqrt(np.vdot(psi, psi).real)
-    if not abs(norm - 1.0) <= atol:  # also rejects a NaN norm
+    if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return psi

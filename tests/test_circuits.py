@@ -308,6 +308,13 @@ def test_propagator_zero_time_identity():
     assert np.abs(eqneighbor_propagator(0.0, 2.2) - np.eye(8)).max() < 1e-14
 
 
+def test_propagators_reject_non_finite():
+    for t, kappa in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)):
+        for propagator in (propagator_coefficients, eqneighbor_propagator):
+            with pytest.raises(ValueError, match="finite"):
+                propagator(t, kappa)
+
+
 def test_propagator_closed_form_amplitudes(rng):
     for _ in range(20):
         t = float(rng.uniform(0.0, 5.0))

@@ -279,6 +279,32 @@ def test_optimize_runs_above_the_cap_exit_2(capsys):
 # --- error handling ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--seed", "1"],
+        ["sweep", "--tol", "1e-9"],
+        ["bloch", "--seed", "1"],
+        ["bloch", "--tol", "1e-9"],
+        ["certify", "--seed", "1"],
+        ["optimize", "--tol", "1e-12"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_kept_tol_and_seed_flags_are_accepted(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["certify", "--steps", "2", "--tol", "1e-9", "--output", out]) == 0
+    assert main(["circuits", "--steps", "2", "--tol", "1e-9", "--seed", "3", "--output", out]) == 0
+    argv = ["optimize", "--theta-max", "0.0", "--steps", "2", "--seeds", "1", "--seed", "3"]
+    assert main([*argv, "--output", out]) == 0
+
+
 def test_invalid_config_exits_2(capsys):
     assert main(["sweep", "--steps", "1"]) == 2
     assert main(["sweep", "--theta-min", "2.0", "--theta-max", "1.0"]) == 2

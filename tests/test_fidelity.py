@@ -12,9 +12,6 @@ import pytest
 
 from mirrorclone.cloners import mpcc_choi, mpcc_fidelity, uc_choi
 from mirrorclone.fidelity import (
-    KIND_MIRROR,
-    KIND_PHASE_COVARIANT,
-    KIND_UNIVERSAL,
     PriorDistribution,
     average_fidelity,
     average_fidelity_direct,
@@ -46,15 +43,13 @@ def universal_score_reference():
 
 def test_prior_constructors():
     m = PriorDistribution.mirror(0.7)
-    assert m.kind == KIND_MIRROR
     assert m.atoms == ((0.7, 0.5), (math.pi - 0.7, 0.5))
     p = PriorDistribution.phase_covariant(0.7)
-    assert p.kind == KIND_PHASE_COVARIANT
     assert p.atoms == ((0.7, 1.0),)
     u = PriorDistribution.universal()
-    assert u.kind == KIND_UNIVERSAL
-    assert u.atoms == () and u.theta is None
-    for atoms in (m.atoms, p.atoms):
+    assert len(u.atoms) == 32
+    assert all(0.0 < angle < math.pi for angle, _ in u.atoms)
+    for atoms in (m.atoms, p.atoms, u.atoms):
         assert abs(sum(w for _, w in atoms) - 1.0) < 1e-15
 
 
@@ -63,6 +58,17 @@ def test_prior_validation():
         PriorDistribution.mirror(-0.2)
     with pytest.raises(ValueError):
         PriorDistribution.phase_covariant(math.pi + 0.2)
+    for atoms in (
+        ((0.3, 1.0), (2.0, 1.0)),  # weights sum to 2
+        ((1.0, 2.0),),
+        ((5.0, 1.0),),  # angle outside [0, pi]
+        ((math.nan, 1.0),),
+        ((0.3, math.nan), (2.0, 1.0)),
+        ((0.3, -0.5), (2.0, 1.5)),  # sums to one, but a negative weight
+        (),  # empty: no mass at all
+    ):
+        with pytest.raises(ValueError):
+            PriorDistribution(atoms)
 
 
 # --- score operators ------------------------------------------------------
@@ -100,23 +106,6 @@ def test_universal_score_closed_and_quadrature():
     assert np.abs(got - ref).max() < 1e-13
     quad = score_operator_quadrature(PriorDistribution.universal())
     assert np.abs(quad - ref).max() < 1e-13
-
-
-def test_quadrature_phi_offset_invariance():
-    # azimuthal covariance: the rectangle rule result cannot depend on the offset
-    for prior in (PriorDistribution.mirror(0.8), PriorDistribution.universal()):
-        a = score_operator_quadrature(prior, phi_offset=0.0)
-        b = score_operator_quadrature(prior, phi_offset=0.37)
-        assert np.abs(a - b).max() < 1e-13
-
-
-def test_quadrature_node_count_validation():
-    with pytest.raises(ValueError):
-        score_operator_quadrature(PriorDistribution.mirror(0.5), n_phi=4)
-    with pytest.raises(ValueError):
-        score_operator_quadrature(PriorDistribution.universal(), n_polar=16)
-    with pytest.raises(ValueError):
-        average_fidelity_direct(mpcc_choi(0.5), PriorDistribution.mirror(0.5), n_phi=4)
 
 
 # --- the fidelity functional ----------------------------------------------

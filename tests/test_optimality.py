@@ -185,6 +185,14 @@ def test_optimize_map_validation():
         optimize_map(score, tol=0.0)
     with pytest.raises(ValueError):
         optimize_map(score, max_iter=0)
+    for tol in (math.nan, math.inf, -1e-12):
+        with pytest.raises(ValueError):
+            optimize_map(score, tol=tol, max_iter=3)
+    with pytest.raises(ValueError):
+        optimize_map(score, max_iter=2.5)
+    with pytest.raises(ValueError):
+        optimize_map(score, seed=1.5)
+    assert optimize_map(score, seed=np.int64(2), max_iter=np.int64(3)).iterations <= 3  # NumPy integers pass
     with pytest.raises(ValueError):
         optimize_map(-np.eye(8), max_iter=200)  # Hermitian but not PSD
     with pytest.raises(ValueError):

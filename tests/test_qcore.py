@@ -102,7 +102,7 @@ def test_partial_trace_preserves_trace_and_hermiticity(seed, keep):
 
 def test_partial_trace_validation(rng):
     rho = random_density(rng, 4)
-    for keep in ([], [1, 2], [0], [3], [1, 1]):
+    for keep in ([], [1, 2], [0], [3], [1, 1], [1.5], [1.0]):
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
     with pytest.raises(ValueError):
