@@ -2,7 +2,8 @@
 
 Register order is (qubit 1, qubit 2, qubit 3) with qubit 1 most
 significant; the input state arrives on qubit 1 and the clones leave on
-qubits 1 and 2.  Circuits store gates in application order.
+qubits 1 and 2.  Circuits store gates in application order; a gate is
+built as Gate(kind, qubits, params), for example Gate("CNOT", (1, 3)).
 
 Gate kinds:
   ROTY t angle     real y-rotation on qubit t
@@ -52,6 +53,8 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        object.__setattr__(self, "params", tuple(self.params))
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_qubits, n_params = GATE_ARITY[self.kind]
@@ -71,40 +74,6 @@ class Gate:
             raise ValueError(f"{self.kind} acts on the fixed register (1, 2, 3)")
 
 
-def roty(target: int, angle: float) -> Gate:
-    return Gate("ROTY", (target,), (angle,))
-
-
-def not_gate(target: int) -> Gate:
-    return Gate("NOT", (target,))
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
-
-
-def ch(control: int, target: int) -> Gate:
-    return Gate("CH", (control, target))
-
-
-def cr(control: int, target: int, angle: float) -> Gate:
-    return Gate("CR", (control, target), (angle,))
-
-
-def ccr(angle: float) -> Gate:
-    """Phase rotation on qubit 3 conditioned on qubits 1, 2 being |11>."""
-    return Gate("CCR", (1, 2, 3), (angle,))
-
-
-def ccr_open(angle: float) -> Gate:
-    """Phase rotation on qubit 3 conditioned on qubits 1, 2 being |00>."""
-    return Gate("CCR0", (1, 2, 3), (angle,))
-
-
-def evolve_gate(t: float, kappa: float) -> Gate:
-    return Gate("EVOLVE", (1, 2, 3), (t, kappa))
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Sequence of gates in application order (first gate acts first)."""
@@ -113,6 +82,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
+        if not all(isinstance(g, Gate) for g in self.gates):
+            raise ValueError("circuit entries must be Gate instances")
 
 
 def _on(u: np.ndarray, qubits) -> np.ndarray:
@@ -159,26 +130,24 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:
     """Two-qubit-gate realization of the doubly controlled phase rotation.
 
-    For polarity "11" the returned sequence composes to
-    gate_matrix(ccr(angle)).  For polarity "00" the closed-control gate is
-    conjugated with bit flips on both controls, which also negates the
-    useful angle: the sequence composes to gate_matrix(ccr_open(-angle)).
+    For polarity "11" the returned sequence composes to Gate("CCR", (1, 2, 3),
+    (angle,)).  For polarity "00" the closed-control gate is conjugated with
+    bit flips on both controls, which also negates the useful angle: the
+    sequence composes to Gate("CCR0", (1, 2, 3), (-angle,)).
     """
     if polarity not in ("11", "00"):
         raise ValueError("polarity must be '11' or '00'")
-    if not math.isfinite(angle):
-        raise ValueError("angle must be finite")
     signed = angle if polarity == "11" else -angle
     core = [
-        cr(2, 3, signed / 2.0),
-        cnot(1, 2),
-        cr(2, 3, -signed / 2.0),
-        cnot(1, 2),
-        cr(1, 3, signed / 2.0),
+        Gate("CR", (2, 3), (signed / 2.0,)),
+        Gate("CNOT", (1, 2)),
+        Gate("CR", (2, 3), (-signed / 2.0,)),
+        Gate("CNOT", (1, 2)),
+        Gate("CR", (1, 3), (signed / 2.0,)),
     ]
     if polarity == "11":
         return core
-    flips = [not_gate(1), not_gate(2)]
+    flips = [Gate("NOT", (1,)), Gate("NOT", (2,))]
     return flips + core + flips
 
 
@@ -191,11 +160,11 @@ def circuit_mpcc_v1(theta: float) -> Circuit:
     """First realization: one y-rotation, one controlled Hadamard, three CNOTs."""
     return Circuit(
         (
-            roty(3, rotation_angle(theta)),
-            ch(3, 2),
-            cnot(1, 3),
-            cnot(2, 1),
-            cnot(3, 2),
+            Gate("ROTY", (3,), (rotation_angle(theta),)),
+            Gate("CH", (3, 2)),
+            Gate("CNOT", (1, 3)),
+            Gate("CNOT", (2, 1)),
+            Gate("CNOT", (3, 2)),
         )
     )
 
@@ -222,10 +191,10 @@ def eqneighbor_hamiltonian(kappa: float) -> np.ndarray:
 
 
 def eqneighbor_propagator(t: float, kappa: float) -> np.ndarray:
-    """Propagator exp(-iHt) of the exchange Hamiltonian, by eigendecomposition."""
-    if not math.isfinite(t):
-        raise ValueError("evolution time must be finite")
+    """exp(-iHt) of the exchange Hamiltonian by eigendecomposition; the phase 2*kappa*t must be finite."""
     h = eqneighbor_hamiltonian(kappa)
+    if not math.isfinite(2.0 * kappa * t):
+        raise ValueError("evolution time and coupling rate must be finite")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -270,13 +239,13 @@ def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:
     correction = 2.0 * (cmath.phase(stay) - cmath.phase(hop))
     return Circuit(
         (
-            cnot(1, 2),
-            cnot(1, 3),
-            not_gate(3),
-            evolve_gate(t, kappa),
-            ccr(correction),
-            ccr_open(-correction),
-            not_gate(3),
+            Gate("CNOT", (1, 2)),
+            Gate("CNOT", (1, 3)),
+            Gate("NOT", (3,)),
+            Gate("EVOLVE", (1, 2, 3), (t, kappa)),
+            Gate("CCR", (1, 2, 3), (correction,)),
+            Gate("CCR0", (1, 2, 3), (-correction,)),
+            Gate("NOT", (3,)),
         )
     )
 

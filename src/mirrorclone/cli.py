@@ -26,6 +26,7 @@ from .circuits import (
 )
 from .cloners import (
     FIDELITY_MINIMUM_ANGLE,
+    _check_polar,
     mpcc_fidelity,
     mpcc_isometry_apply,
     mpcc_params,
@@ -60,10 +61,10 @@ class SweepConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
-            raise ValueError("theta bounds must be finite")
-        if not 0.0 <= self.theta_min <= self.theta_max <= math.pi:
-            raise ValueError("need 0 <= theta-min <= theta-max <= pi")
+        _check_polar(self.theta_min)
+        _check_polar(self.theta_max)
+        if self.theta_min > self.theta_max:
+            raise ValueError("need theta-min <= theta-max")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -127,12 +128,12 @@ def _write_rows(rows: list[dict], cfg: SweepConfig) -> None:
         fh.write(text)
 
 
-def cmd_sweep(cfg: SweepConfig) -> int:
+def cmd_sweep(cfg: SweepConfig, args: argparse.Namespace) -> int:
     rows = []
     for theta in uniform_grid(cfg):
         theta = float(theta)
         pr = mpcc_params(theta)
-        f_mpcc = mpcc_fidelity(theta)
+        f_mpcc = pr.fidelity
         f_pcc = pcc_fidelity(theta)
         f_uc = uc_fidelity(2)
         if not (0.5 <= f_mpcc <= 1.0 and 0.5 <= f_pcc <= 1.0):
@@ -153,9 +154,8 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     return 0
 
 
-def cmd_bloch(cfg: SweepConfig, phi: float = 0.0) -> int:
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
+def cmd_bloch(cfg: SweepConfig, args: argparse.Namespace) -> int:
+    phi = args.phi
     plane = np.array([math.cos(phi), math.sin(phi), 0.0])
     rows = []
     for theta in uniform_grid(cfg):
@@ -180,7 +180,7 @@ def cmd_bloch(cfg: SweepConfig, phi: float = 0.0) -> int:
     return 0
 
 
-def cmd_certify(cfg: SweepConfig) -> int:
+def cmd_certify(cfg: SweepConfig, args: argparse.Namespace) -> int:
     rows = []
     failures = []
     for theta in check_grid(cfg):
@@ -200,10 +200,9 @@ def cmd_certify(cfg: SweepConfig) -> int:
     return 0
 
 
-def cmd_circuits(cfg: SweepConfig, variant: str = "both", dump: str | None = None) -> int:
-    if variant not in ("v1", "v2", "both"):
-        raise ValueError("variant must be v1, v2 or both")
-    variants = ("v1", "v2") if variant == "both" else (variant,)
+def cmd_circuits(cfg: SweepConfig, args: argparse.Namespace) -> int:
+    dump = args.dump
+    variants = ("v1", "v2") if args.variant == "both" else (args.variant,)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     dump_chunks = []
@@ -213,7 +212,7 @@ def cmd_circuits(cfg: SweepConfig, variant: str = "both", dump: str | None = Non
         built = {}
         for name in variants:
             circ = circuit_mpcc_v1(theta) if name == "v1" else circuit_mpcc_v2(theta)
-            built[name] = (circ, circuit_matrix(circ))
+            built[name] = circuit_matrix(circ)
             if dump is not None:
                 dump_chunks.append(
                     f"# theta {theta:.17g} variant {name}\n" + serialize_circuit(circ)
@@ -224,8 +223,7 @@ def cmd_circuits(cfg: SweepConfig, variant: str = "both", dump: str | None = Non
             start = np.zeros(8, dtype=np.complex128)
             start[0], start[4] = psi_in[0], psi_in[1]  # |q 0 0>
             for name in variants:
-                _, unitary = built[name]
-                _, residual = equal_up_to_global_phase(unitary @ start, target)
+                _, residual = equal_up_to_global_phase(built[name] @ start, target)
                 worst = max(worst, residual)
                 rows.append(
                     {"theta": theta, "variant": name, "input": idx, "residual": residual}
@@ -237,7 +235,8 @@ def cmd_circuits(cfg: SweepConfig, variant: str = "both", dump: str | None = Non
     return 0 if worst <= cfg.tol else 1
 
 
-def cmd_optimize(cfg: SweepConfig, seeds: int = 5) -> int:
+def cmd_optimize(cfg: SweepConfig, args: argparse.Namespace) -> int:
+    seeds = args.seeds
     if seeds < 1:
         raise ValueError("seeds must be at least 1")
     if cfg.steps * seeds > MAX_OPTIMIZE_RUNS:
@@ -285,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SweepConfig()
 
-    def add_common(p: argparse.ArgumentParser, default_fmt: str, tol=False, seed=False) -> None:
+    def add_common(p: argparse.ArgumentParser, run, default_fmt: str, tol=False, seed=False) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--theta-min", type=float, default=defaults.theta_min)
         p.add_argument("--theta-max", type=float, default=defaults.theta_max)
         p.add_argument("--steps", type=int, default=defaults.steps, help=f"grid size, 2 to {MAX_STEPS}")
@@ -296,17 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=default_fmt)
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
-    add_common(sub.add_parser("sweep", help="fidelities and machine parameters"), "csv")
+    add_common(sub.add_parser("sweep", help="fidelities and machine parameters"), cmd_sweep, "csv")
     p_bloch = sub.add_parser("bloch", help="clone Bloch cross sections")
-    add_common(p_bloch, "csv")
+    add_common(p_bloch, cmd_bloch, "csv")
     p_bloch.add_argument("--phi", type=float, default=0.0, help="azimuth of the cut plane")
-    add_common(sub.add_parser("certify", help="optimality certificates"), "json", tol=True)
+    add_common(sub.add_parser("certify", help="optimality certificates"), cmd_certify, "json", tol=True)
     p_circ = sub.add_parser("circuits", help="circuit realizations vs the isometry")
-    add_common(p_circ, "csv", tol=True, seed=True)
+    add_common(p_circ, cmd_circuits, "csv", tol=True, seed=True)
     p_circ.add_argument("--variant", choices=("v1", "v2", "both"), default="both")
     p_circ.add_argument("--dump", default=None, help="also write serialized circuits here")
     p_opt = sub.add_parser("optimize", help="numerical optimizer vs the closed form")
-    add_common(p_opt, "csv", seed=True)
+    add_common(p_opt, cmd_optimize, "csv", seed=True)
     seeds_help = f"independent random starts per angle (steps x seeds <= {MAX_OPTIMIZE_RUNS})"
     p_opt.add_argument("--seeds", type=int, default=5, help=seeds_help)
     return parser
@@ -324,15 +324,7 @@ def main(argv=None) -> int:
             fmt=args.format,
             output=args.output,
         )
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "bloch":
-            return cmd_bloch(cfg, phi=args.phi)
-        if args.command == "certify":
-            return cmd_certify(cfg)
-        if args.command == "circuits":
-            return cmd_circuits(cfg, variant=args.variant, dump=args.dump)
-        return cmd_optimize(cfg, seeds=args.seeds)  # the last of the required choices
+        return args.run(cfg, args)
     except (ValueError, OSError) as exc:
         print(f"mirror-clone: error: {exc}", file=sys.stderr)
         return 2

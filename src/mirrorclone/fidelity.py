@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import _check_polar, clone
+from .cloners import _check_polar, check_choi, clone
 from .qcore import ID2, fidelity_pure, ket_from_angles
 
 _TWO_PI = 2.0 * math.pi
@@ -123,11 +123,11 @@ def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:
 
 
 def average_fidelity(chi: np.ndarray, score: np.ndarray) -> float:
-    """Mean clone fidelity Tr(chi R) of a channel against a score operator."""
-    chi = np.asarray(chi)
+    """Mean clone fidelity Tr(chi R) of a channel (check_choi) against an 8x8 score operator."""
+    chi = check_choi(chi)
     score = np.asarray(score)
-    if chi.shape != (8, 8) or score.shape != (8, 8):
-        raise ValueError("process and score matrices must be 8x8")
+    if score.shape != (8, 8):
+        raise ValueError("score matrix must be 8x8")
     val = complex(np.trace(chi @ score))
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity has imaginary residue {val.imag:.3e}")
@@ -139,8 +139,9 @@ def average_fidelity_direct(chi: np.ndarray, prior: PriorDistribution) -> float:
 
     Independent of the score-operator route: the channel is applied to
     each sampled input and both clones are compared with it directly.
+    Raises ValueError if chi fails check_choi.
     """
-    chi = np.asarray(chi)
+    chi = check_choi(chi)
 
     def phi_average(theta: float) -> float:
         total = 0.0

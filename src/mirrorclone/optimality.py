@@ -237,13 +237,11 @@ def optimize_batch(
     f = (chi * score_t).sum(axis=(1, 2)).real
     best_f = f.copy()
     best_chi = chi.copy()
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
     history = [[v] for v in f.tolist()]
 
     active = np.arange(n)
     score = scores
-    for step in range(1, max_iter + 1):
+    for _ in range(max_iter):
         chi = _trace_preserving(score @ chi @ score)
         chi = (chi + chi.conj().swapaxes(1, 2)) / 2.0
         f_new = (chi * score_t).sum(axis=(1, 2)).real
@@ -254,25 +252,24 @@ def optimize_batch(
         better = f_new > best_f[active]
         best_f[active[better]] = f_new[better]
         best_chi[active[better]] = chi[better]
-        iterations[active] = step
         done = change < tol
         if done.any():
-            converged[active[done]] = True
             keep = ~done
             active, chi, score, score_t, f = active[keep], chi[keep], score[keep], score_t[keep], f[keep]
             if not active.size:
                 break
 
     results = []
-    for k in range(n):
+    for k, h in enumerate(history):
         check_choi(best_chi[k])
         results.append(
             OptimizeResult(
                 chi_star=best_chi[k],
                 f_star=float(best_f[k]),
-                iterations=int(iterations[k]),
-                converged=bool(converged[k]),
-                fidelity_history=tuple(history[k]),
+                iterations=len(h) - 1,
+                # the loop's stop test, on the same doubles
+                converged=bool(abs(h[-1] - h[-2]) < tol),
+                fidelity_history=tuple(h),
             )
         )
     return results

@@ -95,7 +95,9 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 
 
 def haar_random_state(rng: np.random.Generator, n_qubits: int = 1) -> np.ndarray:
-    """Haar-random pure state on ``n_qubits`` qubits."""
+    """Haar-random pure state on ``n_qubits`` qubits, an integer from 1 to 3."""
+    if not (isinstance(n_qubits, numbers.Integral) and 1 <= n_qubits <= 3):
+        raise ValueError(f"n_qubits {n_qubits!r} is not an integer from 1 to 3")
     dim = 2**n_qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)

@@ -17,26 +17,18 @@ from mirrorclone.circuits import (
     HADAMARD_CONJUGATOR,
     Circuit,
     Gate,
-    ccr,
-    ccr_open,
-    ch,
     circuit_matrix,
     circuit_mpcc_v1,
     circuit_mpcc_v2,
-    cnot,
-    cr,
     decompose_ccr,
     eqneighbor_hamiltonian,
     eqneighbor_propagator,
     equal_up_to_global_phase,
-    evolve_gate,
     gate_matrix,
     interaction_time,
-    not_gate,
     parse_circuit,
     propagator_coefficients,
     rotation_angle,
-    roty,
     serialize_circuit,
 )
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_isometry_apply, mpcc_params
@@ -82,17 +74,29 @@ def test_gate_validation():
         Gate("NOT", (2.0,))
 
 
+def test_gate_and_circuit_normalize_containers():
+    listed = Gate("NOT", [2])
+    assert listed == Gate("NOT", (2,)) and hash(listed) == hash(Gate("NOT", (2,)))
+    circ = Circuit([Gate("ROTY", (1,), [0.5])])
+    assert circ.gates[0].params == (0.5,)
+    assert parse_circuit(serialize_circuit(circ)) == circ
+    with pytest.raises(ValueError):
+        Circuit([1, 2])
+    with pytest.raises(ValueError):
+        Circuit([Gate("NOT", (1,)), "CNOT 1 2"])
+
+
 @pytest.mark.parametrize(
     "gate",
     [
-        roty(2, 0.7),
-        not_gate(3),
-        cnot(1, 3),
-        ch(3, 2),
-        cr(2, 3, -1.1),
-        ccr(0.9),
-        ccr_open(-2.3),
-        evolve_gate(0.8, 1.7),
+        Gate("ROTY", (2,), (0.7,)),
+        Gate("NOT", (3,)),
+        Gate("CNOT", (1, 3)),
+        Gate("CH", (3, 2)),
+        Gate("CR", (2, 3), (-1.1,)),
+        Gate("CCR", (1, 2, 3), (0.9,)),
+        Gate("CCR0", (1, 2, 3), (-2.3,)),
+        Gate("EVOLVE", (1, 2, 3), (0.8, 1.7)),
     ],
 )
 def test_gate_matrices_are_unitary(gate):
@@ -138,14 +142,14 @@ def reference_matrix(gate):
 
 def all_placements():
     for q in (1, 2, 3):
-        yield roty(q, 0.7)
-        yield not_gate(q)
+        yield Gate("ROTY", (q,), (0.7,))
+        yield Gate("NOT", (q,))
     for c, t in itertools.permutations((1, 2, 3), 2):
-        yield cnot(c, t)
-        yield ch(c, t)
-        yield cr(c, t, -1.1)
-    yield ccr(0.9)
-    yield ccr_open(-2.3)
+        yield Gate("CNOT", (c, t))
+        yield Gate("CH", (c, t))
+        yield Gate("CR", (c, t), (-1.1,))
+    yield Gate("CCR", (1, 2, 3), (0.9,))
+    yield Gate("CCR0", (1, 2, 3), (-2.3,))
 
 
 def placement_id(gate):
@@ -168,7 +172,7 @@ def test_hamiltonian_matches_ordered_pair_sum():
 
 
 def test_roty_zero_is_identity():
-    assert np.abs(gate_matrix(roty(1, 0.0)) - np.eye(8)).max() == 0.0
+    assert np.abs(gate_matrix(Gate("ROTY", (1,), (0.0,))) - np.eye(8)).max() == 0.0
 
 
 def test_hadamard_conjugator_identities():
@@ -180,7 +184,7 @@ def test_hadamard_conjugator_identities():
 
 
 def test_ch_conditional_hadamard():
-    u = gate_matrix(ch(3, 2))
+    u = gate_matrix(Gate("CH", (3, 2)))
     out = u @ basis(1)  # |001>: control (qubit 3) is 1
     want = (basis(1) + basis(3)) / math.sqrt(2.0)
     assert np.abs(out - want).max() < 1e-12
@@ -190,7 +194,7 @@ def test_ch_conditional_hadamard():
 
 
 def test_cr_phases():
-    u = gate_matrix(cr(1, 3, 0.8))
+    u = gate_matrix(Gate("CR", (1, 3), (0.8,)))
     assert abs(u[4, 4] - cmath.exp(-0.4j)) < 1e-15  # |100>: control 1, target 0
     assert abs(u[5, 5] - cmath.exp(0.4j)) < 1e-15  # |101>: control 1, target 1
     assert abs(u[1, 1] - 1.0) < 1e-15  # control 0: untouched
@@ -198,12 +202,12 @@ def test_cr_phases():
 
 def test_ccr_projector_action():
     phi = 1.3
-    u = gate_matrix(ccr(phi))
+    u = gate_matrix(Gate("CCR", (1, 2, 3), (phi,)))
     assert abs(u[6, 6] - cmath.exp(-0.5j * phi)) < 1e-15  # |110>
     assert abs(u[7, 7] - cmath.exp(0.5j * phi)) < 1e-15  # |111>
     for i in range(6):
         assert u[i, i] == 1.0
-    v = gate_matrix(ccr_open(phi))
+    v = gate_matrix(Gate("CCR0", (1, 2, 3), (phi,)))
     assert abs(v[0, 0] - cmath.exp(-0.5j * phi)) < 1e-15  # |000>
     assert abs(v[1, 1] - cmath.exp(0.5j * phi)) < 1e-15  # |001>
     for i in range(2, 8):
@@ -223,14 +227,15 @@ def test_decompose_ccr_zero_angle_is_identity():
 
 @pytest.mark.parametrize("angle", [math.pi / 2, 0.7, -1.9])
 def test_decompose_ccr_matches_direct_matrix(angle):
-    assert np.abs(compose(decompose_ccr(angle, "11")) - gate_matrix(ccr(angle))).max() < 1e-12
+    direct = gate_matrix(Gate("CCR", (1, 2, 3), (angle,)))
+    assert np.abs(compose(decompose_ccr(angle, "11")) - direct).max() < 1e-12
 
 
 def test_decompose_ccr_open_polarity_sign():
     # flipping both controls negates the implemented angle
     angle = math.pi / 3
     got = compose(decompose_ccr(angle, "00"))
-    assert np.abs(got - gate_matrix(ccr_open(-angle))).max() < 1e-12
+    assert np.abs(got - gate_matrix(Gate("CCR0", (1, 2, 3), (-angle,)))).max() < 1e-12
 
 
 def test_decompose_ccr_uses_at_most_two_qubit_gates():
@@ -313,6 +318,13 @@ def test_propagators_reject_non_finite():
         for propagator in (propagator_coefficients, eqneighbor_propagator):
             with pytest.raises(ValueError, match="finite"):
                 propagator(t, kappa)
+    # each factor is finite, but the phase 2*kappa*t of exp(-iHt) overflows
+    with np.errstate(all="raise"):
+        for propagator in (propagator_coefficients, eqneighbor_propagator):
+            with pytest.raises(ValueError, match="finite"):
+                propagator(1e300, 1e10)
+        with pytest.raises(ValueError, match="finite"):
+            gate_matrix(Gate("EVOLVE", (1, 2, 3), (1e300, 1e10)))
 
 
 def test_propagator_closed_form_amplitudes(rng):
@@ -436,7 +448,7 @@ def test_serialize_parse_round_trip():
 def test_parse_skips_comments_and_blanks():
     text = "# header\n\nNOT 2\n  # indented comment\nCNOT 1 3\n"
     circ = parse_circuit(text)
-    assert circ.gates == (not_gate(2), cnot(1, 3))
+    assert circ.gates == (Gate("NOT", (2,)), Gate("CNOT", (1, 3)))
 
 
 def test_parse_rejects_malformed_lines():

@@ -309,8 +309,11 @@ def test_invalid_config_exits_2(capsys):
     assert main(["sweep", "--steps", "1"]) == 2
     assert main(["sweep", "--theta-min", "2.0", "--theta-max", "1.0"]) == 2
     assert main(["sweep", "--theta-max", "9.0"]) == 2
-    err = capsys.readouterr().err
-    assert "mirror-clone: error" in err
+    assert main(["bloch", "--steps", "3", "--phi", "nan"]) == 2
+    assert main(["bloch", "--steps", "3", "--phi", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "mirror-clone: error" in captured.err
+    assert captured.out == ""  # every error comes before the first row is written
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

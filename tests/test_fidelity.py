@@ -145,3 +145,19 @@ def test_average_fidelity_validation():
     score[1, 0] = 1.0
     with pytest.raises(ValueError):
         average_fidelity(chi, score)  # trace picks up an imaginary part
+    # a Hermitian, trace-preserving chi against a score with an imaginary diagonal
+    imaginary = np.zeros((8, 8), dtype=np.complex128)
+    imaginary[0, 0] = 1j
+    with pytest.raises(ValueError, match="imaginary"):
+        average_fidelity(np.eye(8) / 4.0, imaginary)
+    # only channels are scored: scaled, non-finite or non-PSD process matrices raise
+    prior = PriorDistribution.mirror(1.0)
+    nan_chi = np.full((8, 8), np.nan)
+    negative = np.diag([0.25] * 6 + [0.75, -0.25])  # trace preserving, not PSD
+    for bad in (5.0 * np.eye(8), nan_chi, negative):
+        with pytest.raises(ValueError, match="process matrix"):
+            average_fidelity(bad, np.eye(8))
+    with pytest.raises(ValueError, match="process matrix"):
+        average_fidelity_direct(5.0 * np.eye(8), prior)
+    with pytest.raises(ValueError, match="process matrix"):
+        average_fidelity_direct(nan_chi, prior)

@@ -228,6 +228,16 @@ def test_batch_runs_equal_their_lone_calls():
         assert res.fidelity_history == alone.fidelity_history
 
 
+def test_run_record_is_python_typed_with_a_numpy_tol():
+    # a NumPy tol makes the stop comparison an np.bool_, which the CLI would
+    # print as True rather than true
+    score = score_operator(PriorDistribution.mirror(1.0))
+    for tol, stopped in ((np.float64(1e-10), False), (np.float64(1e-2), True)):
+        res = optimize_map(score, tol=tol, max_iter=50)
+        assert type(res.converged) is bool and res.converged is stopped
+        assert type(res.iterations) is int and res.iterations == len(res.fidelity_history) - 1
+
+
 _PRIORS = {
     "mirror": (PriorDistribution.mirror, mpcc_fidelity),
     "phase_covariant": (PriorDistribution.phase_covariant, pcc_fidelity),

@@ -142,6 +142,10 @@ def test_haar_random_state_basics():
     assert a.shape == (8,)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
     assert np.array_equal(a, b)  # seeded draws are reproducible
+    assert haar_random_state(np.random.default_rng(5), np.int64(2)).shape == (4,)
+    for n_qubits in (0, -1, 4, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="n_qubits"):
+            haar_random_state(np.random.default_rng(5), n_qubits)
 
 
 def test_check_state():
