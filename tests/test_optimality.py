@@ -144,17 +144,71 @@ def test_optimizer_returns_a_channel_at_the_poles(theta, prior, f_ref):
 
 
 def test_optimizer_contract_in_the_slow_convergence_band():
-    # hardest measured case: near theta = 0.31 the linear rate drops to
-    # 1 - rho ~ 5e-5 and this start is still 1.4e-6 short after 20000
-    # iterations.  At default arguments the result must sit inside the
-    # accuracy promise even though the step-size test never fires.
+    # hardest measured case: near theta = 0.31 the plain fixed-point step
+    # gains a factor 1 - 5e-5 per iteration, and this start was still 1.4e-6
+    # short after 20000 of them.  The accelerated iteration stops on its
+    # step test within a few hundred iterations, inside the accuracy promise.
     theta = 0.31
     score = score_operator(PriorDistribution.mirror(theta))
     res = optimize_map(score, seed=9)
-    f_ref = mpcc_fidelity(theta)
-    assert not res.converged
-    assert res.f_star >= f_ref - 1e-6
-    assert res.f_star <= f_ref + 1e-10
+    assert res.converged
+    assert res.iterations <= 500
+    assert abs(res.f_star - mpcc_fidelity(theta)) <= 1e-7
+
+
+# (theta, start seed) pairs whose runs crawled for thousands of iterations
+# under the plain fixed-point step: the benchmark's slow-band calls, and the
+# band edge theta = 0.30 where every start ran into the 60000-iteration cap
+SLOW_BAND_RUNS = [
+    *((0.47, seed) for seed in (2, 3, 6, 8)),
+    *((1.40, seed) for seed in (3, 5, 10)),
+    *((0.30, seed) for seed in range(8)),
+]
+
+
+def test_slow_band_runs_converge_in_a_few_hundred_iterations():
+    slow = []
+    for theta, seed in SLOW_BAND_RUNS:
+        res = optimize_map(score_operator(PriorDistribution.mirror(theta)), seed=seed)
+        check_choi(res.chi_star)
+        if not (res.converged and res.iterations <= 500 and abs(res.f_star - mpcc_fidelity(theta)) <= 1e-6):
+            slow.append((theta, seed, res.iterations, res.f_star - mpcc_fidelity(theta)))
+    assert slow == []
+
+
+def _chi_space_step(chi, score):
+    """One step chi -> L (R chi R) L taken on chi itself, then symmetrized.
+
+    The reference for the optimizer's step on a Kraus factor of chi.
+    """
+    op = score @ chi @ score
+    h = trace_over_outputs(op)
+    tr = np.trace(h).real
+    s = np.sqrt(max(np.linalg.det(h).real, 0.0))
+    if s <= 1e-12 * tr:
+        p = h / tr
+        lift = np.kron(p / np.sqrt(tr), np.eye(4))
+        out = lift @ op @ lift + np.kron(np.eye(2) - p, np.eye(4)) / 4.0
+    else:
+        adj = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]])
+        lift = np.kron((s * np.eye(2) + adj) / (s * np.sqrt(tr + 2.0 * s)), np.eye(4))
+        out = lift @ op @ lift
+    return (out + out.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [PriorDistribution.mirror(0.47), PriorDistribution.universal(), PriorDistribution.phase_covariant(0.0)],
+)
+def test_first_step_is_the_plain_chi_space_step(prior):
+    # the first step has no previous residual, so it takes the plain map; the
+    # phase-covariant pole takes the rank-one completion
+    score = score_operator(prior)
+    for seed in range(3):
+        chi = random_trace_preserving_choi(np.random.default_rng(seed))
+        res = optimize_map(score, seed=seed, max_iter=1)
+        assert res.fidelity_history[1] > res.fidelity_history[0]  # chi_star is the stepped iterate
+        assert np.abs(res.chi_star - _chi_space_step(chi, score)).max() <= 1e-13
 
 
 def test_optimizer_multi_start_consistency():
@@ -232,8 +286,8 @@ def test_run_record_is_python_typed_with_a_numpy_tol():
     # a NumPy tol makes the stop comparison an np.bool_, which the CLI would
     # print as True rather than true
     score = score_operator(PriorDistribution.mirror(1.0))
-    for tol, stopped in ((np.float64(1e-10), False), (np.float64(1e-2), True)):
-        res = optimize_map(score, tol=tol, max_iter=50)
+    for tol, max_iter, stopped in ((np.float64(1e-10), 2, False), (np.float64(1e-2), 50, True)):
+        res = optimize_map(score, tol=tol, max_iter=max_iter)
         assert type(res.converged) is bool and res.converged is stopped
         assert type(res.iterations) is int and res.iterations == len(res.fidelity_history) - 1
 
