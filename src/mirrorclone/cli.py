@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .optimality import certificate, choi_pattern_defect, optimize_batch, optimi
 from .qcore import haar_random_state
 
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
+CERTIFY_TOL = 1e-10  # certify's bound on the fidelity-identity residual
 _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # grid caps: every row is built in a Python loop, and optimize holds all
 # (angle, start) runs at once, about 18 kB each
@@ -50,35 +50,22 @@ MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    theta_min: float = 0.0
-    theta_max: float = math.pi
-    steps: int = 181
-    tol: float = 1e-10
-    seed: int = 42
-    fmt: str = "csv"
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_polar(self.theta_min)
-        _check_polar(self.theta_max)
-        if self.theta_min > self.theta_max:
-            raise ValueError("need theta-min <= theta-max")
-        if not 2 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+def _check_grid_flags(args: argparse.Namespace) -> None:
+    """The grid flags every subcommand takes, or ValueError (exit 2)."""
+    _check_polar(args.theta_min)
+    _check_polar(args.theta_max)
+    if args.theta_min > args.theta_max:
+        raise ValueError("need theta-min <= theta-max")
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
 
 
-def uniform_grid(cfg: SweepConfig) -> np.ndarray:
-    """Exactly cfg.steps points, endpoints included."""
-    return np.linspace(cfg.theta_min, cfg.theta_max, cfg.steps)
+def uniform_grid(args: argparse.Namespace) -> np.ndarray:
+    """Exactly args.steps points, endpoints included."""
+    return np.linspace(args.theta_min, args.theta_max, args.steps)
 
 
-def check_grid(cfg: SweepConfig) -> np.ndarray:
+def check_grid(args: argparse.Namespace) -> np.ndarray:
     """Uniform grid plus the fidelity-minimum angles, deduplicated and sorted.
 
     Used by the checking commands (certify, circuits, optimize) so the
@@ -88,9 +75,9 @@ def check_grid(cfg: SweepConfig) -> np.ndarray:
     extras = [
         a
         for a in (FIDELITY_MINIMUM_ANGLE, math.pi - FIDELITY_MINIMUM_ANGLE)
-        if cfg.theta_min <= a <= cfg.theta_max
+        if args.theta_min <= a <= args.theta_max
     ]
-    return np.unique(np.concatenate([uniform_grid(cfg), np.array(extras)]))
+    return np.unique(np.concatenate([uniform_grid(args), np.array(extras)]))
 
 
 def _fmt_value(value) -> str:
@@ -112,25 +99,25 @@ def _flatten(row: dict) -> dict:
     return flat
 
 
-def _write_rows(rows: list[dict], cfg: SweepConfig) -> None:
-    """Write rows to stdout or cfg.output; CSV columns follow the row keys."""
-    if cfg.fmt == "csv":
+def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
+    """Write rows to stdout or args.output; CSV columns follow the row keys."""
+    if args.format == "csv":
         flat = [_flatten(row) for row in rows]
         lines = [",".join(flat[0])]
         lines += [",".join(_fmt_value(v) for v in row.values()) for row in flat]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2) + "\n"
-    if cfg.output is None:
+    if args.output is None:
         sys.stdout.write(text)
         return
-    with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def cmd_sweep(cfg: SweepConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
-    for theta in uniform_grid(cfg):
+    for theta in uniform_grid(args):
         theta = float(theta)
         pr = mpcc_params(theta)
         f_mpcc = pr.fidelity
@@ -150,16 +137,16 @@ def cmd_sweep(cfg: SweepConfig, args: argparse.Namespace) -> int:
                 "C": pr.c,
             }
         )
-    _write_rows(rows, cfg)
+    _write_rows(rows, args)
     return 0
 
 
-def cmd_bloch(cfg: SweepConfig, args: argparse.Namespace) -> int:
+def cmd_bloch(args: argparse.Namespace) -> int:
     phi = args.phi
     _check_polar(0.0, phi)  # before math.cos(inf) raises a bare "math domain error"
     plane = np.array([math.cos(phi), math.sin(phi), 0.0])
     rows = []
-    for theta in uniform_grid(cfg):
+    for theta in uniform_grid(args):
         theta = float(theta)
         vec_m = mpcc_clone_bloch(theta, phi)
         vec_p = pcc_clone_bloch(theta, phi)
@@ -177,21 +164,21 @@ def cmd_bloch(cfg: SweepConfig, args: argparse.Namespace) -> int:
                 "rz_perfect": math.cos(theta),
             }
         )
-    _write_rows(rows, cfg)
+    _write_rows(rows, args)
     return 0
 
 
-def cmd_certify(cfg: SweepConfig, args: argparse.Namespace) -> int:
+def cmd_certify(args: argparse.Namespace) -> int:
     rows = []
     failures = []
-    for theta in check_grid(cfg):
+    for theta in check_grid(args):
         theta = float(theta)
         cert = certificate(theta)
-        ok = cert.psd_ok and cert.saturation_ok and cert.fidelity_identity_residual <= cfg.tol
+        ok = cert.psd_ok and cert.saturation_ok and cert.fidelity_identity_residual <= CERTIFY_TOL
         if not ok:
             failures.append(theta)
         rows.append(dict(vars(cert)))
-    _write_rows(rows, cfg)
+    _write_rows(rows, args)
     if failures:
         print(
             "certificate failed at theta: " + ", ".join(f"{t:.17g}" for t in failures),
@@ -201,20 +188,18 @@ def cmd_certify(cfg: SweepConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_circuits(cfg: SweepConfig, args: argparse.Namespace) -> int:
-    dump = args.dump
-    variants = ("v1", "v2") if args.variant == "both" else (args.variant,)
-    rng = np.random.default_rng(cfg.seed)
+def cmd_circuits(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
     rows = []
     dump_chunks = []
-    worst = 0.0
-    for theta in check_grid(cfg):
+    ok = True
+    for theta in check_grid(args):
         theta = float(theta)
-        built = {}
-        for name in variants:
-            circ = circuit_mpcc_v1(theta) if name == "v1" else circuit_mpcc_v2(theta)
-            built[name] = circuit_matrix(circ)
-            if dump is not None:
+        built = []
+        for name, build in (("v1", circuit_mpcc_v1), ("v2", circuit_mpcc_v2)):
+            circ = build(theta)
+            built.append((name, circuit_matrix(circ)))
+            if args.dump is not None:
                 dump_chunks.append(
                     f"# theta {theta:.17g} variant {name}\n" + serialize_circuit(circ)
                 )
@@ -223,32 +208,32 @@ def cmd_circuits(cfg: SweepConfig, args: argparse.Namespace) -> int:
             target = mpcc_isometry_apply(theta, psi_in)
             start = np.zeros(8, dtype=np.complex128)
             start[0], start[4] = psi_in[0], psi_in[1]  # |q 0 0>
-            for name in variants:
-                _, residual = equal_up_to_global_phase(built[name] @ start, target)
-                worst = max(worst, residual)
+            for name, matrix in built:
+                equal, residual = equal_up_to_global_phase(matrix @ start, target)
+                ok = ok and equal
                 rows.append(
                     {"theta": theta, "variant": name, "input": idx, "residual": residual}
                 )
-    _write_rows(rows, cfg)
-    if dump is not None:
-        with open(dump, "w", encoding="utf-8", newline="\n") as fh:
+    if args.dump is not None:  # before the rows, so a bad path writes nothing
+        with open(args.dump, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(dump_chunks))
-    return 0 if worst <= cfg.tol else 1
+    _write_rows(rows, args)
+    return 0 if ok else 1
 
 
-def cmd_optimize(cfg: SweepConfig, args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> int:
     seeds = args.seeds
     if seeds < 1:
         raise ValueError("seeds must be at least 1")
-    if cfg.steps * seeds > MAX_OPTIMIZE_RUNS:
+    if args.steps * seeds > MAX_OPTIMIZE_RUNS:
         raise ValueError(f"steps x seeds must be at most {MAX_OPTIMIZE_RUNS}")
-    grid = [float(theta) for theta in check_grid(cfg)]
+    grid = [float(theta) for theta in check_grid(args)]
     scores = [score_operator(PriorDistribution.mirror(theta)) for theta in grid]
     # the cap only bounds the work: at the defaults every run stops on the
     # step test within 130 iterations, the worst best-of-5 gap near 1e-7
     results = optimize_batch(
         np.repeat(scores, seeds, axis=0),
-        [cfg.seed + offset for _ in grid for offset in range(seeds)],
+        [args.seed + offset for _ in grid for offset in range(seeds)],
         tol=1e-11,
         max_iter=4000,
     )
@@ -272,7 +257,7 @@ def cmd_optimize(cfg: SweepConfig, args: argparse.Namespace) -> int:
                 "converged": best.converged,
             }
         )
-    _write_rows(rows, cfg)
+    _write_rows(rows, args)
     return 0 if ok else 1
 
 
@@ -282,31 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal 1-to-2 mirror phase-covariant qubit cloning toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = SweepConfig()
 
-    def add_common(p: argparse.ArgumentParser, run, default_fmt: str, tol=False, seed=False) -> None:
+    def add_command(name: str, run, summary: str, fmt="csv", seed=False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        p.add_argument("--theta-min", type=float, default=defaults.theta_min)
-        p.add_argument("--theta-max", type=float, default=defaults.theta_max)
-        p.add_argument("--steps", type=int, default=defaults.steps, help=f"grid size, 2 to {MAX_STEPS}")
-        if tol:
-            p.add_argument("--tol", type=float, default=defaults.tol)
+        p.add_argument("--theta-min", type=float, default=0.0)
+        p.add_argument("--theta-max", type=float, default=math.pi)
+        p.add_argument("--steps", type=int, default=181, help=f"grid size, 2 to {MAX_STEPS}")
         if seed:
-            p.add_argument("--seed", type=int, default=defaults.seed)
-        p.add_argument("--format", choices=("csv", "json"), default=default_fmt)
+            p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
         p.add_argument("--output", default=None, help="write here instead of stdout")
+        return p
 
-    add_common(sub.add_parser("sweep", help="fidelities and machine parameters"), cmd_sweep, "csv")
-    p_bloch = sub.add_parser("bloch", help="clone Bloch cross sections")
-    add_common(p_bloch, cmd_bloch, "csv")
+    add_command("sweep", cmd_sweep, "fidelities and machine parameters")
+    p_bloch = add_command("bloch", cmd_bloch, "clone Bloch cross sections")
     p_bloch.add_argument("--phi", type=float, default=0.0, help="azimuth of the cut plane")
-    add_common(sub.add_parser("certify", help="optimality certificates"), cmd_certify, "json", tol=True)
-    p_circ = sub.add_parser("circuits", help="circuit realizations vs the isometry")
-    add_common(p_circ, cmd_circuits, "csv", tol=True, seed=True)
-    p_circ.add_argument("--variant", choices=("v1", "v2", "both"), default="both")
+    add_command("certify", cmd_certify, "optimality certificates", fmt="json")
+    p_circ = add_command("circuits", cmd_circuits, "circuit realizations vs the isometry", seed=True)
     p_circ.add_argument("--dump", default=None, help="also write serialized circuits here")
-    p_opt = sub.add_parser("optimize", help="numerical optimizer vs the closed form")
-    add_common(p_opt, cmd_optimize, "csv", seed=True)
+    p_opt = add_command("optimize", cmd_optimize, "numerical optimizer vs the closed form", seed=True)
     seeds_help = f"independent random starts per angle (steps x seeds <= {MAX_OPTIMIZE_RUNS})"
     p_opt.add_argument("--seeds", type=int, default=5, help=seeds_help)
     return parser
@@ -315,16 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = SweepConfig(
-            theta_min=args.theta_min,
-            theta_max=args.theta_max,
-            steps=args.steps,
-            tol=getattr(args, "tol", SweepConfig.tol),
-            seed=getattr(args, "seed", SweepConfig.seed),
-            fmt=args.format,
-            output=args.output,
-        )
-        return args.run(cfg, args)
+        _check_grid_flags(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"mirror-clone: error: {exc}", file=sys.stderr)
         return 2

@@ -32,17 +32,27 @@ _N_POLAR = 32  # Gauss-Legendre nodes of the universal prior
 class PriorDistribution:
     """Prior over the input polar angle (azimuth always uniform).
 
-    atoms holds (polar angle, weight) point masses: every angle in
-    [0, pi], every weight finite and nonnegative, the weights summing to
-    one within 1e-12; anything else raises ValueError.
+    atoms is a tuple of (polar angle, weight) point masses, both real:
+    every angle in [0, pi], every weight finite and nonnegative, the
+    weights summing to one within 1e-12; anything else raises ValueError.
     """
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        for angle, weight in self.atoms:
-            _check_polar(angle)
-            if not (math.isfinite(weight) and weight >= 0.0):
+        # a tuple keeps the frozen prior hashable
+        if not isinstance(self.atoms, tuple):
+            raise ValueError(f"prior atoms {self.atoms!r} are not a tuple of (angle, weight) pairs")
+        for atom in self.atoms:
+            if not (isinstance(atom, tuple) and len(atom) == 2):
+                raise ValueError(f"prior atom {atom!r} is not an (angle, weight) pair")
+            angle, weight = atom
+            try:
+                _check_polar(angle)
+                valid = math.isfinite(weight) and weight >= 0.0
+            except TypeError:  # math.isfinite of a value that is not a real number
+                raise ValueError(f"prior atom {atom!r} is not a pair of real numbers") from None
+            if not valid:
                 raise ValueError(f"prior weight {weight!r} is not finite and nonnegative")
         total = sum(weight for _, weight in self.atoms)
         if not abs(total - 1.0) <= 1e-12:
@@ -96,6 +106,21 @@ def score_operator(prior: PriorDistribution) -> np.ndarray:
     return out
 
 
+def _check_scores(scores) -> np.ndarray:
+    """A non-empty (N, 8, 8) stack of finite, Hermitian, PSD, nonzero scores, as complex."""
+    scores = np.asarray(scores, dtype=complex)
+    if scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
+        raise ValueError("score matrices must be 8x8, stacked as (N, 8, 8) with N >= 1")
+    if not np.isfinite(scores).all():
+        raise ValueError("score matrices must be finite")
+    scale = np.abs(scores).max(axis=(1, 2))
+    if (np.abs(scores - scores.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
+        raise ValueError("score matrices must be Hermitian, with no imaginary part (S - S^dagger)/2i")
+    if (np.linalg.eigvalsh(scores)[:, 0] < -1e-12 * scale).any() or not scale.all():
+        raise ValueError("score matrices must be positive semidefinite and nonzero")
+    return scores
+
+
 def _phi_averaged_score(theta: float) -> np.ndarray:
     acc = np.zeros((8, 8), dtype=np.complex128)
     for k in range(_N_PHI):
@@ -123,11 +148,13 @@ def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:
 
 
 def average_fidelity(chi: np.ndarray, score: np.ndarray) -> float:
-    """Mean clone fidelity Tr(chi R) of a channel (check_choi) against an 8x8 score operator."""
+    """Mean clone fidelity Tr(chi R) of a channel (check_choi) against a score operator.
+
+    The score must be a finite Hermitian PSD nonzero 8x8 matrix, as for
+    optimize_batch, else ValueError.
+    """
     chi = check_choi(chi)
-    score = np.asarray(score)
-    if score.shape != (8, 8):
-        raise ValueError("score matrix must be 8x8")
+    score = _check_scores(np.asarray(score)[None])[0]
     val = complex(np.trace(chi @ score))
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity has imaginary residue {val.imag:.3e}")

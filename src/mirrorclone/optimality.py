@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params, trace_over_outputs
-from .fidelity import PriorDistribution, score_operator
+from .fidelity import PriorDistribution, _check_scores, score_operator
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
@@ -204,21 +204,6 @@ def random_trace_preserving_choi(rng: np.random.Generator) -> np.ndarray:
     return k @ k.conj().T
 
 
-def _check_scores(scores) -> np.ndarray:
-    """A non-empty (N, 8, 8) stack of finite, Hermitian, PSD, nonzero scores, as complex."""
-    scores = np.asarray(scores, dtype=complex)
-    if scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
-        raise ValueError("score matrices must be 8x8, stacked as (N, 8, 8) with N >= 1")
-    if not np.isfinite(scores).all():
-        raise ValueError("score matrices must be finite")
-    scale = np.abs(scores).max(axis=(1, 2))
-    if (np.abs(scores - scores.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
-        raise ValueError("score matrices must be Hermitian")
-    if (np.linalg.eigvalsh(scores)[:, 0] < -1e-12 * scale).any() or not scale.all():
-        raise ValueError("score matrices must be positive semidefinite and nonzero")
-    return scores
-
-
 def optimize_batch(
     scores: np.ndarray,
     seeds: list[int],
@@ -323,13 +308,6 @@ def optimize_map(
     returned channel.  The score must be a finite Hermitian PSD nonzero
     8x8 matrix, else ValueError.  One run of optimize_batch, which steps
     many runs at once.
-
-    The plain map converges linearly, and in narrow bands around
-    theta ~ 0.3 and ~ 1.4 (and their mirrors) at rates of 0.9984 to
-    0.9993 per step, so single starts took thousands of steps to tens of
-    thousands.  With the mix, mirror-prior runs at these defaults stop
-    within 9 to 139 steps in the bands (median 50), at most 1.6e-7 below
-    the optimum (47 band angles, 8 starts each).
     """
     return optimize_batch(np.asarray(score)[None], [seed], tol, max_iter)[0]
 

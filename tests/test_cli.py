@@ -5,13 +5,15 @@ shell invocation would: argument parsing, file output, exit codes.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mirrorclone.cli import MAX_OPTIMIZE_RUNS, MAX_STEPS, SweepConfig, check_grid, main, uniform_grid
+import mirrorclone.cli as cli
+from mirrorclone.cli import MAX_OPTIMIZE_RUNS, MAX_STEPS, build_parser, check_grid, main, uniform_grid
 from mirrorclone.circuits import circuit_mpcc_v1, circuit_mpcc_v2, parse_circuit
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_fidelity, mpcc_params, pcc_fidelity
 
@@ -24,11 +26,21 @@ def read_csv(path):
 # --- configuration ----------------------------------------------------------
 
 
+def exit_code(argv) -> int:
+    """main(argv)'s exit code, counting argparse's own exit 2."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_sweep_config_defaults():
-    cfg = SweepConfig()
-    assert cfg.steps == 181
-    assert cfg.theta_min == 0.0 and cfg.theta_max == math.pi
-    assert cfg.fmt == "csv" and cfg.output is None
+    args = build_parser().parse_args(["sweep"])
+    assert args.steps == 181
+    assert args.theta_min == 0.0 and args.theta_max == math.pi
+    assert args.format == "csv" and args.output is None
+    assert build_parser().parse_args(["certify"]).format == "json"
+    assert build_parser().parse_args(["circuits"]).seed == 42
 
 
 @pytest.mark.parametrize(
@@ -40,30 +52,34 @@ def test_sweep_config_defaults():
         {"steps": 1},
         {"tol": 0.0},
         {"tol": math.nan},
-        {"fmt": "xml"},
+        {"format": "xml"},
         {"theta_min": math.inf},
         {"steps": MAX_STEPS + 1},
     ],
 )
-def test_sweep_config_rejects(kwargs):
-    with pytest.raises(ValueError):
-        SweepConfig(**kwargs)
+def test_sweep_config_rejects(kwargs, capsys):
+    # the grid flags every subcommand shares, and --tol, which none takes
+    argv = ["certify"]
+    for name, value in kwargs.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_uniform_grid_endpoints():
-    grid = uniform_grid(SweepConfig(steps=5))
+    grid = uniform_grid(build_parser().parse_args(["sweep", "--steps", "5"]))
     assert grid[0] == 0.0 and grid[-1] == math.pi
     assert len(grid) == 5
 
 
 def test_check_grid_adds_minimum_angles():
-    grid = check_grid(SweepConfig(steps=5))
+    grid = check_grid(build_parser().parse_args(["certify", "--steps", "5"]))
     assert len(grid) == 7
     assert FIDELITY_MINIMUM_ANGLE in grid
     assert math.pi - FIDELITY_MINIMUM_ANGLE in grid
     assert np.all(np.diff(grid) > 0)
     # outside a narrow window the extras are dropped
-    narrow = check_grid(SweepConfig(theta_min=0.0, theta_max=0.5, steps=3))
+    narrow = check_grid(build_parser().parse_args(["certify", "--theta-max", "0.5", "--steps", "3"]))
     assert len(narrow) == 3
 
 
@@ -191,14 +207,6 @@ def test_circuits_rows_and_residuals(tmp_path):
     assert max(float(row["residual"]) for row in rows) <= 1e-10
 
 
-def test_circuits_single_variant(tmp_path):
-    out = tmp_path / "circ1.csv"
-    assert main(["circuits", "--steps", "3", "--variant", "v1", "--output", str(out)]) == 0
-    rows = read_csv(out)
-    assert len(rows) == 25
-    assert {row["variant"] for row in rows} == {"v1"}
-
-
 def test_circuits_dump_round_trips(tmp_path):
     out = tmp_path / "circ.csv"
     dump = tmp_path / "gates.txt"
@@ -240,10 +248,8 @@ def test_optimize_small_grid(tmp_path):
 
 
 def test_optimize_gap_independent_of_seed_count(tmp_path):
-    # where the iteration converges, every start lands on the same value, so
-    # best-of-1 and best-of-8 report the same gap.  Inside the slow bands
-    # (theta near 0.4 / 1.4 and mirrors) capped single starts stall at
-    # seed-dependent heights, so this grid stays on the fast band.
+    # every start converges to the optimum within the 1e-8 compared here,
+    # so best-of-1 and best-of-8 report the same gap
     gaps = {}
     for seeds in ("1", "8"):
         out = tmp_path / f"opt{seeds}.csv"
@@ -286,6 +292,45 @@ def test_optimize_runs_above_the_cap_exit_2(capsys):
     assert "steps x seeds" in capsys.readouterr().err
 
 
+# --- failed checks exit 1 ------------------------------------------------------------
+
+
+def test_certify_failure_exits_1(monkeypatch, capsys):
+    real = cli.certificate
+
+    def certificate(theta):
+        cert = real(theta)
+        return dataclasses.replace(cert, psd_ok=False) if theta == 0.5 else cert
+
+    monkeypatch.setattr(cli, "certificate", certificate)
+    assert main(["certify", "--theta-min", "0.0", "--theta-max", "1.0", "--steps", "3"]) == 1
+    assert "certificate failed at theta: 0.5" in capsys.readouterr().err
+
+
+def test_circuits_failure_exits_1(monkeypatch, tmp_path):
+    # one input reported unequal at a residual inside 1e-10: the exit code
+    # follows the equal flag, not a second threshold on the residual
+    calls = []
+    real = cli.equal_up_to_global_phase
+
+    def equal_up_to_global_phase(a, b):
+        equal, residual = real(a, b)
+        calls.append(residual)
+        return (equal and len(calls) != 7), residual
+
+    monkeypatch.setattr(cli, "equal_up_to_global_phase", equal_up_to_global_phase)
+    assert main(["circuits", "--steps", "2", "--output", str(tmp_path / "c.csv")]) == 1
+    assert max(calls) <= 1e-10
+
+
+def test_optimize_failure_exits_1(monkeypatch, tmp_path):
+    # a closed form moved by 1e-5 at one angle puts that row outside the 1e-6 gap
+    real = cli.mpcc_fidelity
+    monkeypatch.setattr(cli, "mpcc_fidelity", lambda theta: real(theta) + (1e-5 if theta == 0.0 else 0.0))
+    argv = ["optimize", "--theta-max", "0.6", "--steps", "2", "--seeds", "1"]
+    assert main([*argv, "--output", str(tmp_path / "o.csv")]) == 1
+
+
 # --- error handling ----------------------------------------------------------------
 
 
@@ -298,6 +343,9 @@ def test_optimize_runs_above_the_cap_exit_2(capsys):
         ["bloch", "--tol", "1e-9"],
         ["certify", "--seed", "1"],
         ["optimize", "--tol", "1e-12"],
+        ["certify", "--tol", "1e-9"],
+        ["circuits", "--tol", "1e-9"],
+        ["circuits", "--variant", "v1"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(argv, capsys):
@@ -307,20 +355,20 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_kept_tol_and_seed_flags_are_accepted(tmp_path):
+def test_seed_flags_are_accepted(tmp_path):
     out = str(tmp_path / "out")
-    assert main(["certify", "--steps", "2", "--tol", "1e-9", "--output", out]) == 0
-    assert main(["circuits", "--steps", "2", "--tol", "1e-9", "--seed", "3", "--output", out]) == 0
+    assert main(["circuits", "--steps", "2", "--seed", "3", "--output", out]) == 0
     argv = ["optimize", "--theta-max", "0.0", "--steps", "2", "--seeds", "1", "--seed", "3"]
     assert main([*argv, "--output", out]) == 0
 
 
-def test_invalid_config_exits_2(capsys):
+def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["sweep", "--steps", "1"]) == 2
     assert main(["sweep", "--theta-min", "2.0", "--theta-max", "1.0"]) == 2
     assert main(["sweep", "--theta-max", "9.0"]) == 2
     assert main(["bloch", "--steps", "3", "--phi", "nan"]) == 2
     assert main(["bloch", "--steps", "3", "--phi", "inf"]) == 2
+    assert main(["circuits", "--steps", "3", "--dump", str(tmp_path / "no" / "such" / "g.txt")]) == 2
     captured = capsys.readouterr()
     assert "mirror-clone: error" in captured.err
     assert "azimuth inf is not finite" in captured.err

@@ -6,6 +6,7 @@ pushing sampled states through the channel directly.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ def test_prior_validation():
         (),  # empty: no mass at all
     ):
         with pytest.raises(ValueError):
+            PriorDistribution(atoms)
+    # malformed atoms: ValueError naming the atom, not TypeError or a bare unpacking error
+    for atoms, named in ((5, "atoms 5 "), ((("a", 1.0),), "atom ('a', 1.0) "), (((1.0,),), "atom (1.0,) ")):
+        with pytest.raises(ValueError, match=re.escape(named)):
             PriorDistribution(atoms)
 
 
@@ -161,3 +166,9 @@ def test_average_fidelity_validation():
         average_fidelity_direct(5.0 * np.eye(8), prior)
     with pytest.raises(ValueError, match="process matrix"):
         average_fidelity_direct(nan_chi, prior)
+    # invalid scores raise instead of scoring: NaN entries, and -R (not PSD)
+    chi = mpcc_choi(1.0)
+    score = score_operator(prior)
+    for bad in (np.full((8, 8), np.nan), -score):
+        with pytest.raises(ValueError, match="score"):
+            average_fidelity(chi, bad)
