@@ -214,10 +214,14 @@ def cmd_circuits(args: argparse.Namespace) -> int:
                 rows.append(
                     {"theta": theta, "variant": name, "input": idx, "residual": residual}
                 )
-    if args.dump is not None:  # before the rows, so a bad path writes nothing
+    if args.dump is None:
+        _write_rows(rows, args)
+    else:
+        # opened first, so a bad dump path writes no rows, and filled last, so
+        # a bad --output leaves it empty
         with open(args.dump, "w", encoding="utf-8", newline="\n") as fh:
+            _write_rows(rows, args)
             fh.write("\n".join(dump_chunks))
-    _write_rows(rows, args)
     return 0 if ok else 1
 
 

@@ -27,10 +27,13 @@ FIDELITY_MINIMUM_ANGLE = math.acos(math.sqrt(3.0) / 3.0)
 
 def _check_polar(theta: float, phi: float = 0.0) -> None:
     """A polar angle in [0, pi] and a finite azimuth, or ValueError."""
-    if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
-        raise ValueError(f"polar angle {theta!r} outside [0, pi]")
-    if not math.isfinite(phi):
-        raise ValueError(f"azimuth {phi!r} is not finite")
+    try:
+        if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
+            raise ValueError(f"polar angle {theta!r} outside [0, pi]")
+        if not math.isfinite(phi):
+            raise ValueError(f"azimuth {phi!r} is not finite")
+    except TypeError:  # math.isfinite of a value that is not a real number
+        raise ValueError(f"polar angle {theta!r} or azimuth {phi!r} is not a real number") from None
 
 
 @dataclass(frozen=True)

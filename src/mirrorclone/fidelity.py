@@ -49,11 +49,10 @@ class PriorDistribution:
             angle, weight = atom
             try:
                 _check_polar(angle)
-                valid = math.isfinite(weight) and weight >= 0.0
-            except TypeError:  # math.isfinite of a value that is not a real number
-                raise ValueError(f"prior atom {atom!r} is not a pair of real numbers") from None
-            if not valid:
-                raise ValueError(f"prior weight {weight!r} is not finite and nonnegative")
+                if not (math.isfinite(weight) and weight >= 0.0):
+                    raise ValueError(f"weight {weight!r} is not finite and nonnegative")
+            except (TypeError, ValueError) as exc:  # TypeError: a weight that is not a real number
+                raise ValueError(f"prior atom {atom!r} is invalid: {exc}") from None
         total = sum(weight for _, weight in self.atoms)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"prior weights sum to {total!r}, not 1")
@@ -61,6 +60,7 @@ class PriorDistribution:
     @staticmethod
     def mirror(theta: float) -> "PriorDistribution":
         """Equal-weight atoms on theta and its mirror image pi - theta."""
+        _check_polar(theta)  # before pi - theta raises TypeError for a non-real angle
         return PriorDistribution(((theta, 0.5), (math.pi - theta, 0.5)))
 
     @staticmethod

@@ -7,13 +7,14 @@ requires Delta = lam tensor id - R to be positive semidefinite, and
 Tr(lam) must equal the closed-form fidelity.  The spectrum of Delta is
 also known in closed form, which pins the whole construction down.
 
-The optimizer route knows none of the closed forms: starting from a
-random trace-preserving process matrix it iterates the fixed-point map
-chi -> Linv (R chi R) Linv with L = sqrt(Tr_out(R chi R)) tensor id,
-which preserves feasibility and climbs the fidelity functional.  It
-carries a Kraus factor K of chi = K K^dagger, steps K -> Linv R K, and
-accelerates the iteration with a safeguarded Anderson(1) mix of the last
-two steps (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)).
+The optimizer route knows none of the closed forms: it iterates the
+fixed-point map chi -> Linv (R chi R) Linv with L = sqrt(Tr_out(R chi R))
+tensor id, which preserves feasibility and climbs the fidelity
+functional.  It carries a Kraus factor K of chi = K K^dagger, steps
+K -> Linv R K, and accelerates the iteration with a safeguarded
+Anderson(1) mix of the last two steps (Walker & Ni, SIAM J. Numer. Anal.
+49, 1715 (2011)).  The start K is a complex Ginibre draw rescaled to
+trace preservation.
 """
 
 from __future__ import annotations
@@ -29,22 +30,6 @@ from .fidelity import PriorDistribution, _check_scores, score_operator
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
-
-
-def lagrange_operator(chi: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Input-space multiplier Tr_out(R chi) of a channel/score pair."""
-    chi = np.asarray(chi)
-    score = np.asarray(score)
-    if chi.shape != (8, 8) or score.shape != (8, 8):
-        raise ValueError("process and score matrices must be 8x8")
-    return trace_over_outputs(score @ chi)
-
-
-def proportionality_defect(op: np.ndarray) -> float:
-    """Distance of a 2x2 operator from the nearest multiple of the identity."""
-    op = np.asarray(op)
-    scale = complex(np.trace(op)).real / 2.0
-    return float(np.abs(op - scale * np.eye(2)).max())
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,7 @@ def certificate(theta: float) -> OptimalityCertificate:
     score = score_operator(PriorDistribution.mirror(theta))
     f = pr.fidelity
 
-    lam_op = lagrange_operator(chi, score)
+    lam_op = trace_over_outputs(score @ chi)
     lambda_scalar = complex(np.trace(lam_op)).real / 2.0
     trace_gap = complex(np.trace(lam_op)).real - f
 
@@ -118,7 +103,7 @@ def certificate(theta: float) -> OptimalityCertificate:
         delta_closed_form=(d1, d2, d3, d4),
         fidelity_identity_residual=abs(f - r00 - r11 - rbar),
         spectrum_residual=spectrum_residual,
-        proportionality=proportionality_defect(lam_op),
+        proportionality=float(np.abs(lam_op - lambda_scalar * np.eye(2)).max()),
         weights_form_residual=abs(lambda_scalar - weights_form),
         half_fidelity_residual=abs(lambda_scalar - f / 2.0),
         psd_ok=bool(spectrum[0] >= -PSD_TOL),
@@ -197,10 +182,18 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj() * b).real.sum(axis=(1, 2))
 
 
+def _ginibre(rng: np.random.Generator) -> np.ndarray:
+    """An 8x8 complex Ginibre draw, the unscaled start Kraus factor."""
+    return rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+
+
 def random_trace_preserving_choi(rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank trace-preserving process matrix (Ginibre start)."""
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    k = _trace_preserving(g[None])[0]
+    """Random full-rank trace-preserving process matrix (Ginibre start).
+
+    Returns K K^dagger for the rescaled Ginibre draw K, the Kraus factor
+    that optimize_map(score, seed) iterates from when rng is default_rng(seed).
+    """
+    k = _trace_preserving(_ginibre(rng)[None])[0]
     return k @ k.conj().T
 
 
@@ -230,8 +223,7 @@ def optimize_batch(
         raise ValueError("max_iter must be an integer of at least 1")
 
     n = len(seeds)
-    starts = np.array([random_trace_preserving_choi(np.random.default_rng(s)) for s in seeds])
-    k = np.linalg.cholesky(starts)  # a Kraus factor of each start: k k^dagger = chi
+    k = _trace_preserving(np.array([_ginibre(np.random.default_rng(s)) for s in seeds]))
     score = scores
     rk = score @ k
     f = _overlap(k, rk)
@@ -299,8 +291,9 @@ def optimize_map(
 ) -> OptimizeResult:
     """Maximize Tr(chi R) over trace-preserving channels by fixed-point iteration.
 
-    Starts from random_trace_preserving_choi(default_rng(seed)) and stops
-    when the per-iteration fidelity change drops below tol.  Each step
+    Starts from the channel random_trace_preserving_choi(default_rng(seed))
+    returns, carried as its rescaled Ginibre Kraus factor, and stops when
+    the per-iteration fidelity change drops below tol.  Each step
     applies the map to a Kraus factor of the iterate and rescales it to
     trace preservation; from the second step on it also rescales an
     Anderson(1) mix of the last two steps and keeps whichever of the two

@@ -369,6 +369,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["bloch", "--steps", "3", "--phi", "nan"]) == 2
     assert main(["bloch", "--steps", "3", "--phi", "inf"]) == 2
     assert main(["circuits", "--steps", "3", "--dump", str(tmp_path / "no" / "such" / "g.txt")]) == 2
+    # a bad --output leaves the dump empty, not a partial result
+    dump = tmp_path / "g.txt"
+    assert main(["circuits", "--steps", "2", "--dump", str(dump), "--output", str(tmp_path / "no" / "o.csv")]) == 2
+    assert dump.read_bytes() == b""
     captured = capsys.readouterr()
     assert "mirror-clone: error" in captured.err
     assert "azimuth inf is not finite" in captured.err

@@ -30,6 +30,9 @@ from mirrorclone.cloners import (
     uc_clone_bloch,
     uc_fidelity,
 )
+from mirrorclone.circuits import interaction_time
+from mirrorclone.fidelity import PriorDistribution, r_theta
+from mirrorclone.optimality import certificate
 from mirrorclone.qcore import bloch_vector, fidelity_pure, haar_random_state, ket_from_angles, partial_trace
 
 GRID = np.linspace(0.0, math.pi, 61)
@@ -172,6 +175,16 @@ def test_polar_angle_validation():
         for bad_theta, bad_phi in ((-0.1, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 bloch(bad_theta, bad_phi)
+    # angles that are not real numbers: ValueError, not TypeError from math.isfinite
+    for call, args in (
+        (mpcc_params, ("a",)),
+        (certificate, ("a",)),
+        (r_theta, (None,)),
+        (interaction_time, ("x", 1.0)),
+        (PriorDistribution.mirror, ("a",)),
+    ):
+        with pytest.raises(ValueError):
+            call(*args)
 
 
 # --- process matrices -------------------------------------------------------

@@ -21,31 +21,12 @@ from mirrorclone.optimality import (
     OptimalityCertificate,
     certificate,
     choi_pattern_defect,
-    lagrange_operator,
     optimize_batch,
     optimize_map,
-    proportionality_defect,
     random_trace_preserving_choi,
 )
 
 GRID = np.concatenate([np.linspace(0.0, math.pi, 41), [FIDELITY_MINIMUM_ANGLE]])
-
-
-def test_lagrange_operator_is_half_fidelity_identity():
-    for theta in (0.0, 0.6, FIDELITY_MINIMUM_ANGLE, math.pi / 2, 2.5, math.pi):
-        lam = lagrange_operator(mpcc_choi(theta), score_operator(PriorDistribution.mirror(theta)))
-        want = 0.5 * mpcc_fidelity(theta) * np.eye(2)
-        assert np.abs(lam - want).max() < 1e-12
-
-
-def test_lagrange_operator_validation():
-    with pytest.raises(ValueError):
-        lagrange_operator(np.eye(4), np.eye(8))
-
-
-def test_proportionality_defect():
-    assert proportionality_defect(3.7 * np.eye(2)) == 0.0
-    assert abs(proportionality_defect(np.diag([1.0, 2.0])) - 0.5) < 1e-15
 
 
 def test_certificate_closed_spectrum_at_equator():
