@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloners import SQRT2, mpcc_params
-from .qcore import PAULI_X, check_state
+from .qcore import PAULI_X, check_finite, check_state
 
 # reflection that conjugates a bit flip into a Hadamard: A X A = H, A A = id
 HADAMARD_CONJUGATOR = np.array(
@@ -140,6 +140,7 @@ def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:
     """
     if polarity not in ("11", "00"):
         raise ValueError("polarity must be '11' or '00'")
+    check_finite(angle, "rotation angle")
     signed = angle if polarity == "11" else -angle
     core = [
         Gate("CR", (2, 3), (signed / 2.0,)),
@@ -188,16 +189,14 @@ def eqneighbor_hamiltonian(kappa: float) -> np.ndarray:
     within each single-defect sector every pair of basis states is coupled
     with matrix element kappa.
     """
-    if not math.isfinite(kappa):
-        raise ValueError("coupling rate must be finite")
+    check_finite(kappa, "coupling rate")
     return kappa * sum(_on(EXCHANGE, pair) for pair in ((1, 2), (1, 3), (2, 3)))
 
 
 def eqneighbor_propagator(t: float, kappa: float) -> np.ndarray:
     """exp(-iHt) of the exchange Hamiltonian by eigendecomposition; the phase 2*kappa*t must be finite."""
     h = eqneighbor_hamiltonian(kappa)
-    if not math.isfinite(2.0 * kappa * t):
-        raise ValueError("evolution time and coupling rate must be finite")
+    check_finite(2.0 * kappa * check_finite(t, "evolution time"), "phase 2*kappa*t")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -209,9 +208,8 @@ def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:
     the initial basis state, hop the amplitude on each of the other two;
     |stay|^2 + 2|hop|^2 = 1.  The same pair governs both defect numbers.
     """
-    kt = kappa * t
-    if not math.isfinite(kt):
-        raise ValueError("evolution time and coupling rate must be finite")
+    kt = check_finite(kappa, "coupling rate") * check_finite(t, "evolution time")
+    check_finite(kt, "phase kappa*t")
     stay = (cmath.exp(-2j * kt) + 2.0 * cmath.exp(1j * kt)) / 3.0
     hop = (2.0 / 3.0) * math.sin(1.5 * kt) * cmath.exp(-0.5j * (math.pi + kt))
     return stay, hop
@@ -223,7 +221,7 @@ def interaction_time(theta: float, kappa: float) -> float:
     Chosen so sqrt(2)*|hop amplitude| equals lam_bar:
     t = (2 / (3 kappa)) * arcsin(3 lam_bar / (2 sqrt(2))).
     """
-    if not math.isfinite(kappa) or kappa <= 0.0:
+    if check_finite(kappa, "coupling rate") <= 0.0:
         raise ValueError("coupling rate must be positive")
     lam_bar = mpcc_params(theta).lam_bar
     return (2.0 / (3.0 * kappa)) * math.asin(1.5 * lam_bar / SQRT2)
@@ -292,14 +290,7 @@ def parse_circuit(text: str) -> Circuit:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind not in GATE_ARITY:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        n_qubits, n_params = GATE_ARITY[kind]
-        if len(tokens) != 1 + n_qubits + n_params:
-            raise ValueError(f"bad token count in line {line!r}")
-        qubits = tuple(int(tok) for tok in tokens[1 : 1 + n_qubits])
-        params = tuple(float(tok) for tok in tokens[1 + n_qubits :])
-        gates.append(Gate(kind, qubits, params))
+        kind, *tokens = line.split()
+        n = GATE_ARITY.get(kind, (0, 0))[0]  # Gate rejects an unknown kind and a wrong token count
+        gates.append(Gate(kind, tuple(map(int, tokens[:n])), tuple(map(float, tokens[n:]))))
     return Circuit(tuple(gates))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import check_state, partial_trace
+from .qcore import check_finite, check_state, partial_trace
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,13 +27,9 @@ FIDELITY_MINIMUM_ANGLE = math.acos(math.sqrt(3.0) / 3.0)
 
 def _check_polar(theta: float, phi: float = 0.0) -> None:
     """A polar angle in [0, pi] and a finite azimuth, or ValueError."""
-    try:
-        if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
-            raise ValueError(f"polar angle {theta!r} outside [0, pi]")
-        if not math.isfinite(phi):
-            raise ValueError(f"azimuth {phi!r} is not finite")
-    except TypeError:  # math.isfinite of a value that is not a real number
-        raise ValueError(f"polar angle {theta!r} or azimuth {phi!r} is not a real number") from None
+    if not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
+        raise ValueError(f"polar angle {theta!r} outside [0, pi]")
+    check_finite(phi, "azimuth")
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def fidelity_for_amplitude(theta: float, lam: float) -> float:
     F = (1 + lam^2)/2 - sin(theta)^2 * (lam^2 - lam*sqrt(2 - 2*lam^2)) / 2
     """
     _check_polar(theta)
-    if not -1.0 <= lam <= 1.0:
+    if not -1.0 <= check_finite(lam, "amplitude") <= 1.0:
         raise ValueError("amplitude must lie in [-1, 1]")
     lam_bar_sq = max(1.0 - lam * lam, 0.0)
     s_sq = math.sin(theta) ** 2
@@ -260,7 +256,7 @@ def pcc_fidelity(theta: float) -> float:
 
 def uc_fidelity(n_copies: int = 2) -> float:
     """Fidelity (2M + 1)/(3M) of the symmetric 1-to-M universal machine."""
-    if not (math.isfinite(n_copies) and int(n_copies) == n_copies >= 1):
+    if not int(check_finite(n_copies, "number of copies")) == n_copies >= 1:
         raise ValueError("number of copies must be an integer >= 1")
     return (2.0 * n_copies + 1.0) / (3.0 * n_copies)
 

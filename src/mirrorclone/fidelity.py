@@ -8,9 +8,12 @@ numerical quadrature over states (`score_operator_quadrature`,
 `average_fidelity_direct`); each route serves as the oracle for the other.
 
 The azimuth is uniform under every prior handled here, and every prior
-is a list of (polar angle, weight) atoms.  The universal prior's atoms
-are the 32-point Gauss-Legendre nodes in cos(theta) of its density
-sin(theta)/2, exact for the polynomials in cos(theta) integrated here.
+is a list of (polar angle, weight) atoms.  Every entry of r_theta has
+degree at most 2 in u = cos(theta), so a prior reaches R only through
+E[u] and E[u^2], and the uniform sphere is exactly the 2-point
+Gauss-Legendre rule u = +-1/sqrt(3): the mirror pair at
+FIDELITY_MINIMUM_ANGLE.  Both routes are exact on it, the direct one for
+every channel chi, because its polar integrand is Tr(chi R(theta)).
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import _check_polar, check_choi, clone
-from .qcore import ID2, fidelity_pure, ket_from_angles
+from .cloners import FIDELITY_MINIMUM_ANGLE, _check_polar, check_choi, clone
+from .qcore import ID2, check_finite, fidelity_pure, ket_from_angles
 
 _TWO_PI = 2.0 * math.pi
 _N_PHI = 64  # azimuthal rectangle-rule nodes of the quadrature routes
-_N_POLAR = 32  # Gauss-Legendre nodes of the universal prior
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,9 @@ class PriorDistribution:
             angle, weight = atom
             try:
                 _check_polar(angle)
-                if not (math.isfinite(weight) and weight >= 0.0):
-                    raise ValueError(f"weight {weight!r} is not finite and nonnegative")
-            except (TypeError, ValueError) as exc:  # TypeError: a weight that is not a real number
+                if check_finite(weight, "weight") < 0.0:
+                    raise ValueError(f"weight {weight!r} is negative")
+            except ValueError as exc:
                 raise ValueError(f"prior atom {atom!r} is invalid: {exc}") from None
         total = sum(weight for _, weight in self.atoms)
         if not abs(total - 1.0) <= 1e-12:
@@ -70,10 +72,8 @@ class PriorDistribution:
 
     @staticmethod
     def universal() -> "PriorDistribution":
-        """Uniform over the whole Bloch sphere, as Gauss-Legendre atoms."""
-        # nodes in u = cos(theta); the polar density sin(theta)/2 becomes du/2
-        nodes, weights = np.polynomial.legendre.leggauss(_N_POLAR)
-        return PriorDistribution(tuple((math.acos(u), w / 2.0) for u, w in zip(nodes, weights)))
+        """Uniform over the Bloch sphere, as the mirror pair with the sphere's E[u] = 0, E[u^2] = 1/3."""
+        return PriorDistribution.mirror(FIDELITY_MINIMUM_ANGLE)
 
 
 def r_theta(theta: float) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params, trace_over_outputs
 from .fidelity import PriorDistribution, _check_scores, score_operator
+from .qcore import check_finite
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
@@ -217,8 +218,8 @@ def optimize_batch(
     seeds = list(seeds)
     if len(seeds) != len(scores) or not all(isinstance(s, numbers.Integral) for s in seeds):
         raise ValueError("need one integer seed per score matrix")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tolerance must be finite and positive")
+    if check_finite(tol, "tolerance") <= 0.0:
+        raise ValueError("tolerance must be positive")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise ValueError("max_iter must be an integer of at least 1")
 

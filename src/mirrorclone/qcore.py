@@ -21,10 +21,20 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 ATOL = 1e-12
 
 
+def check_finite(value, name: str):
+    """Returns ``value`` unchanged if it is a finite real number, else ValueError naming it."""
+    try:
+        if math.isfinite(value):
+            return value
+    except TypeError:  # not a real number
+        pass
+    raise ValueError(f"{name} {value!r} is not finite or not a real number")
+
+
 def ket_from_angles(theta: float, phi: float) -> np.ndarray:
     """Single-qubit state cos(theta/2)|0> + exp(i*phi) sin(theta/2)|1>."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError("Bloch angles must be finite")
+    check_finite(theta, "polar angle")
+    check_finite(phi, "azimuth")
     return np.array(
         [math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))],
         dtype=np.complex128,

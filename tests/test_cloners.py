@@ -7,6 +7,7 @@ of the isometry output.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,9 +31,16 @@ from mirrorclone.cloners import (
     uc_clone_bloch,
     uc_fidelity,
 )
-from mirrorclone.circuits import interaction_time
-from mirrorclone.fidelity import PriorDistribution, r_theta
-from mirrorclone.optimality import certificate
+from mirrorclone.circuits import (
+    circuit_mpcc_v2,
+    decompose_ccr,
+    eqneighbor_hamiltonian,
+    eqneighbor_propagator,
+    interaction_time,
+    propagator_coefficients,
+)
+from mirrorclone.fidelity import PriorDistribution, r_theta, score_operator
+from mirrorclone.optimality import certificate, optimize_map
 from mirrorclone.qcore import bloch_vector, fidelity_pure, haar_random_state, ket_from_angles, partial_trace
 
 GRID = np.linspace(0.0, math.pi, 61)
@@ -175,19 +183,41 @@ def test_polar_angle_validation():
         for bad_theta, bad_phi in ((-0.1, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 bloch(bad_theta, bad_phi)
-    # angles that are not real numbers: ValueError, not TypeError from math.isfinite
-    for call, args in (
-        (mpcc_params, ("a",)),
-        (certificate, ("a",)),
-        (r_theta, (None,)),
-        (interaction_time, ("x", 1.0)),
-        (PriorDistribution.mirror, ("a",)),
-    ):
-        with pytest.raises(ValueError):
-            call(*args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(mpcc_params, "a"),
+        partial(certificate, "a"),
+        partial(r_theta, None),
+        partial(PriorDistribution.mirror, "a"),
+        partial(interaction_time, "x", 1.0),
+        partial(interaction_time, 1.0, "x"),
+        partial(circuit_mpcc_v2, 1.0, "x"),
+        partial(eqneighbor_hamiltonian, "x"),
+        partial(eqneighbor_propagator, "x", 1.0),
+        partial(propagator_coefficients, "x", 1.0),
+        partial(decompose_ccr, "x"),
+        partial(optimize_map, score_operator(PriorDistribution.mirror(1.0)), tol="x"),
+        partial(optimize_map, score_operator(PriorDistribution.mirror(1.0)), tol=None),
+        partial(fidelity_for_amplitude, 1.0, "x"),
+        partial(uc_fidelity, "x"),
+        partial(ket_from_angles, "a", 0.0),
+    ],
+    ids=lambda call: call.func.__name__,
+)
+def test_non_real_scalars_raise_value_error(call):
+    # ValueError naming the value, not TypeError from the arithmetic it would reach
+    with pytest.raises(ValueError, match="is not finite or not a real number"):
+        call()
 
 
 # --- process matrices -------------------------------------------------------
+
+
+def test_universal_machine_is_the_mirror_machine_at_the_minimum_angle():
+    assert np.abs(uc_choi() - mpcc_choi(FIDELITY_MINIMUM_ANGLE)).max() < 1e-15
 
 
 def test_choi_support_pattern():

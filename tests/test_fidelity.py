@@ -10,8 +10,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mirrorclone.cloners import mpcc_choi, mpcc_fidelity, uc_choi
+from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_choi, mpcc_fidelity, uc_choi
 from mirrorclone.fidelity import (
     PriorDistribution,
     average_fidelity,
@@ -48,7 +50,7 @@ def test_prior_constructors():
     p = PriorDistribution.phase_covariant(0.7)
     assert p.atoms == ((0.7, 1.0),)
     u = PriorDistribution.universal()
-    assert len(u.atoms) == 32
+    assert u == PriorDistribution.mirror(FIDELITY_MINIMUM_ANGLE)
     assert all(0.0 < angle < math.pi for angle, _ in u.atoms)
     for atoms in (m.atoms, p.atoms, u.atoms):
         assert abs(sum(w for _, w in atoms) - 1.0) < 1e-15
@@ -111,6 +113,24 @@ def test_universal_score_closed_and_quadrature():
     assert np.abs(got - ref).max() < 1e-13
     quad = score_operator_quadrature(PriorDistribution.universal())
     assert np.abs(quad - ref).max() < 1e-13
+
+
+# poles and equator drawn on purpose, next to any angle in [0, pi]
+POLAR_ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, math.pi))
+
+
+@given(angles=st.lists(POLAR_ANGLES, min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_two_moments_decide_a_mirror_symmetric_score(angles, seed):
+    # pairs (theta, pi - theta) with Dirichlet weights: E[cos theta] = 0, and
+    # E[cos^2 theta] = cos^2 theta_eff fixes the rest of the score
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(angles)))
+    atoms = [(theta, w / 2) for theta, w in zip(angles, weights.tolist())]
+    prior = PriorDistribution(tuple(atoms + [(math.pi - theta, w) for theta, w in atoms]))
+    cos_sq = float(weights @ np.cos(angles) ** 2)
+    theta_eff = math.acos(math.sqrt(min(cos_sq, 1.0)))
+    score = score_operator(prior)
+    assert np.abs(score - score_operator(PriorDistribution.mirror(theta_eff))).max() < 1e-14
+    assert abs(average_fidelity(mpcc_choi(theta_eff), score) - mpcc_fidelity(theta_eff)) < 1e-14
 
 
 # --- the fidelity functional ----------------------------------------------
