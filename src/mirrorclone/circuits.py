@@ -71,8 +71,8 @@ class Gate:
             raise ValueError("gate qubit indices must be distinct")
         if any(q < 1 or q > 3 for q in self.qubits):
             raise ValueError("qubit indices must lie in 1..3")
-        if not all(isinstance(p, numbers.Real) and math.isfinite(p) for p in self.params):
-            raise ValueError("gate parameters must be finite real numbers")
+        for p in self.params:
+            check_finite(p, "gate parameter")
         if self.kind in ("CCR", "CCR0", "EVOLVE") and self.qubits != (1, 2, 3):
             raise ValueError(f"{self.kind} acts on the fixed register (1, 2, 3)")
 

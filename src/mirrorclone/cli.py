@@ -233,13 +233,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise ValueError(f"steps x seeds must be at most {MAX_OPTIMIZE_RUNS}")
     grid = [float(theta) for theta in check_grid(args)]
     scores = [score_operator(PriorDistribution.mirror(theta)) for theta in grid]
-    # the cap only bounds the work: at the defaults every run stops on the
-    # step test within 130 iterations, the worst best-of-5 gap near 1e-7
     results = optimize_batch(
         np.repeat(scores, seeds, axis=0),
         [args.seed + offset for _ in grid for offset in range(seeds)],
         tol=1e-11,
-        max_iter=4000,
     )
     rows = []
     ok = True

@@ -166,28 +166,18 @@ def clone(psi: np.ndarray, chi: np.ndarray):
     """Send a single-qubit state through a process matrix.
 
     Returns (rho_out, rho1, rho2): the joint two-clone state and the two
-    reduced clone states.
+    reduced clone states.  Raises ValueError if chi fails check_choi.
     """
     psi = np.asarray(psi)
-    chi = np.asarray(chi)
     if psi.shape != (2,):
         raise ValueError("input must be a single-qubit state vector")
     check_state(psi)
-    if chi.shape != (8, 8):
-        raise ValueError("process matrix must be 8x8")
+    chi = check_choi(chi)
     # Tr_in[chi (rho_in^T tensor id)] as one contraction over the input indices
     rho_out = np.einsum("iajb,ij->ab", chi.reshape(2, 4, 2, 4), np.outer(psi, psi.conj()))
     rho1 = partial_trace(rho_out, [1])
     rho2 = partial_trace(rho_out, [2])
     return rho_out, rho1, rho2
-
-
-def trace_over_outputs(op: np.ndarray) -> np.ndarray:
-    """Partial trace over the 4-dim output of an (input x output) operator or a stack of them."""
-    op = np.asarray(op)
-    if op.shape[-2:] != (8, 8):
-        raise ValueError("operator must be 8x8")
-    return np.einsum("...iaja->...ij", op.reshape(*op.shape[:-2], 2, 4, 2, 4))
 
 
 def check_choi(chi: np.ndarray) -> np.ndarray:
@@ -208,7 +198,7 @@ def check_choi(chi: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(chi)
     if w[0] < -1e-10:
         raise ValueError(f"process matrix has negative eigenvalue {w[0]:.3e}")
-    defect = float(np.abs(trace_over_outputs(chi) - np.eye(2)).max())
+    defect = float(np.abs(partial_trace(chi, [1]) - np.eye(2)).max())
     if defect > 1e-10:
         raise ValueError(f"process matrix is not trace preserving: defect {defect:.3e}")
     return chi

@@ -14,6 +14,12 @@ E[u] and E[u^2], and the uniform sphere is exactly the 2-point
 Gauss-Legendre rule u = +-1/sqrt(3): the mirror pair at
 FIDELITY_MINIMUM_ANGLE.  Both routes are exact on it, the direct one for
 every channel chi, because its polar integrand is Tr(chi R(theta)).
+
+The same degree bound holds in the azimuth: the state |psi><psi| enters
+R(theta, phi) twice, as rho^T and rho, so every entry is a trigonometric
+polynomial in phi of degree at most 2.  The rectangle rule on n equally
+spaced nodes is exact for e^{ik phi} with |k| < n, so both quadrature
+routes average over a ring of 3 azimuth nodes per atom, exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .cloners import FIDELITY_MINIMUM_ANGLE, _check_polar, check_choi, clone
 from .qcore import ID2, check_finite, fidelity_pure, ket_from_angles
 
 _TWO_PI = 2.0 * math.pi
-_N_PHI = 64  # azimuthal rectangle-rule nodes of the quadrature routes
+_N_PHI = 3  # azimuth nodes per atom, the fewest exact for degree 2
 
 
 @dataclass(frozen=True)
@@ -121,26 +127,28 @@ def _check_scores(scores) -> np.ndarray:
     return scores
 
 
-def _phi_averaged_score(theta: float) -> np.ndarray:
-    acc = np.zeros((8, 8), dtype=np.complex128)
-    for k in range(_N_PHI):
-        psi = ket_from_angles(theta, _TWO_PI * k / _N_PHI)
-        rho_in = np.outer(psi, psi.conj())
-        sym = 0.5 * (np.kron(rho_in, ID2) + np.kron(ID2, rho_in))
-        acc += np.kron(rho_in.T, sym)
-    return acc / _N_PHI
+def _prior_average(prior: PriorDistribution, fn):
+    """Mean of fn(psi) over the prior's atoms and the azimuth ring of each."""
+    total = 0.0
+    for angle, weight in prior.atoms:
+        for k in range(_N_PHI):
+            total += (weight / _N_PHI) * fn(ket_from_angles(angle, _TWO_PI * k / _N_PHI))
+    return total
+
+
+def _projector_score(psi: np.ndarray) -> np.ndarray:
+    """Score operator of one pure input: rho^T tensor the clone-averaged projector."""
+    rho_in = np.outer(psi, psi.conj())
+    return np.kron(rho_in.T, 0.5 * (np.kron(rho_in, ID2) + np.kron(ID2, rho_in)))
 
 
 def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:
     """Score operator rebuilt from projectors by numerical quadrature.
 
-    The azimuthal average uses the 64-point rectangle rule, exact for
-    trigonometric polynomials of degree below 63; the integrand here has
-    degree 2.  The polar angle runs over the prior's atoms.
+    Averages the projector score over the prior's atoms and the exact
+    3-node azimuth ring (see the module docstring).
     """
-    acc = np.zeros((8, 8), dtype=np.complex128)
-    for angle, weight in prior.atoms:
-        acc += weight * _phi_averaged_score(angle)
+    acc = _prior_average(prior, _projector_score)
     resid = float(np.abs(acc.imag).max())
     if resid > 1e-13:
         raise ArithmeticError(f"quadrature left imaginary residue {resid:.3e}")
@@ -168,14 +176,9 @@ def average_fidelity_direct(chi: np.ndarray, prior: PriorDistribution) -> float:
     each sampled input and both clones are compared with it directly.
     Raises ValueError if chi fails check_choi.
     """
-    chi = check_choi(chi)
 
-    def phi_average(theta: float) -> float:
-        total = 0.0
-        for k in range(_N_PHI):
-            psi = ket_from_angles(theta, _TWO_PI * k / _N_PHI)
-            _, rho1, rho2 = clone(psi, chi)
-            total += 0.5 * (fidelity_pure(psi, rho1) + fidelity_pure(psi, rho2))
-        return total / _N_PHI
+    def clone_score(psi: np.ndarray) -> float:
+        _, rho1, rho2 = clone(psi, chi)
+        return 0.5 * (fidelity_pure(psi, rho1) + fidelity_pure(psi, rho2))
 
-    return sum(weight * phi_average(angle) for angle, weight in prior.atoms)
+    return _prior_average(prior, clone_score)

@@ -25,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params, trace_over_outputs
+from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params
 from .fidelity import PriorDistribution, _check_scores, score_operator
-from .qcore import check_finite
+from .qcore import check_finite, partial_trace
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
+# default step cap of optimize_batch and optimize_map, and so of `mirror-clone optimize`
+MAX_ITER = 4000
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def certificate(theta: float) -> OptimalityCertificate:
     score = score_operator(PriorDistribution.mirror(theta))
     f = pr.fidelity
 
-    lam_op = trace_over_outputs(score @ chi)
+    lam_op = partial_trace(score @ chi, [1])
     lambda_scalar = complex(np.trace(lam_op)).real / 2.0
     trace_gap = complex(np.trace(lam_op)).real - f
 
@@ -202,7 +204,7 @@ def optimize_batch(
     scores: np.ndarray,
     seeds: list[int],
     tol: float = 1e-12,
-    max_iter: int = 60000,
+    max_iter: int = MAX_ITER,
 ) -> list[OptimizeResult]:
     """Run optimize_map on each (score, seed) pair, all runs stepped together.
 
@@ -288,7 +290,7 @@ def optimize_map(
     score: np.ndarray,
     seed: int = 0,
     tol: float = 1e-12,
-    max_iter: int = 60000,
+    max_iter: int = MAX_ITER,
 ) -> OptimizeResult:
     """Maximize Tr(chi R) over trace-preserving channels by fixed-point iteration.
 

@@ -78,12 +78,14 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
 
 
 def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a unit-norm pure state with a density matrix."""
+    """Overlap <psi|rho|psi> of a unit-norm pure state with a finite density matrix."""
     psi = np.asarray(psi)
     rho = np.asarray(rho)
     if rho.shape != (psi.size, psi.size):
         raise ValueError("state and density matrix dimensions do not match")
     check_state(psi)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     val = complex(psi.conj() @ rho @ psi)
     if abs(val.imag) > ATOL:
         raise ValueError(f"overlap has imaginary residue {val.imag:.3e}")

@@ -26,12 +26,12 @@ from mirrorclone.cloners import (
     mpcc_params,
     pcc_clone_bloch,
     pcc_fidelity,
-    trace_over_outputs,
     uc_choi,
     uc_clone_bloch,
     uc_fidelity,
 )
 from mirrorclone.circuits import (
+    Gate,
     circuit_mpcc_v2,
     decompose_ccr,
     eqneighbor_hamiltonian,
@@ -204,6 +204,7 @@ def test_polar_angle_validation():
         partial(fidelity_for_amplitude, 1.0, "x"),
         partial(uc_fidelity, "x"),
         partial(ket_from_angles, "a", 0.0),
+        partial(Gate, "ROTY", (1,), ("x",)),
     ],
     ids=lambda call: call.func.__name__,
 )
@@ -254,14 +255,6 @@ def test_uc_choi_weights():
     assert abs(chi[0, 5] - 1.0 / 3.0) < 1e-15
 
 
-def test_trace_over_outputs_against_partial_trace(rng):
-    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    op = z + z.conj().T
-    assert np.abs(trace_over_outputs(op) - partial_trace(op, [1])).max() < 1e-12
-    with pytest.raises(ValueError):
-        trace_over_outputs(np.eye(4))
-
-
 def test_check_choi_rejects_bad_matrices():
     with pytest.raises(ValueError):
         check_choi(np.eye(4))
@@ -307,6 +300,10 @@ def test_clone_validation():
         clone(np.array([2.0, 0.0]), mpcc_choi(1.0))  # not unit norm
     with pytest.raises(ValueError):
         clone(np.array([math.nan, 0.0]), mpcc_choi(1.0))
+    # only channels: non-finite and non-trace-preserving process matrices raise
+    for bad in (np.full((8, 8), np.nan), 5.0 * np.eye(8)):
+        with pytest.raises(ValueError, match="process matrix"):
+            clone(np.array([1.0, 0.0]), bad)
 
 
 def test_isometry_preserves_norm_and_validates(rng):

@@ -22,6 +22,7 @@ from mirrorclone.fidelity import (
     score_operator,
     score_operator_quadrature,
 )
+from mirrorclone.optimality import random_trace_preserving_choi
 
 THETAS_20 = np.linspace(0.0, math.pi, 20)
 
@@ -131,6 +132,19 @@ def test_two_moments_decide_a_mirror_symmetric_score(angles, seed):
     score = score_operator(prior)
     assert np.abs(score - score_operator(PriorDistribution.mirror(theta_eff))).max() < 1e-14
     assert abs(average_fidelity(mpcc_choi(theta_eff), score) - mpcc_fidelity(theta_eff)) < 1e-14
+
+
+@given(angles=st.lists(POLAR_ANGLES, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_quadrature_routes_are_exact(angles, seed):
+    # any prior and any channel: the 3-node azimuth ring integrates the
+    # degree-2 integrand exactly, so both routes meet the closed form
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(angles)))
+    prior = PriorDistribution(tuple(zip(angles, weights.tolist())))
+    chi = random_trace_preserving_choi(rng)
+    score = score_operator(prior)
+    assert abs(average_fidelity_direct(chi, prior) - average_fidelity(chi, score)) < 1e-13
+    assert np.abs(score_operator_quadrature(prior) - score).max() < 1e-13
 
 
 # --- the fidelity functional ----------------------------------------------

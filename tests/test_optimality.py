@@ -13,7 +13,6 @@ from mirrorclone.cloners import (
     mpcc_choi,
     mpcc_fidelity,
     pcc_fidelity,
-    trace_over_outputs,
     uc_fidelity,
 )
 from mirrorclone.fidelity import PriorDistribution, score_operator
@@ -25,6 +24,7 @@ from mirrorclone.optimality import (
     optimize_map,
     random_trace_preserving_choi,
 )
+from mirrorclone.qcore import partial_trace
 
 GRID = np.concatenate([np.linspace(0.0, math.pi, 41), [FIDELITY_MINIMUM_ANGLE]])
 
@@ -82,7 +82,7 @@ def test_analytic_choi_is_fixed_point_of_the_update():
         f = mpcc_fidelity(theta)
         mid = score @ chi @ score
         assert np.abs(mid - (f / 2.0) ** 2 * chi).max() < 1e-12
-        d = trace_over_outputs(mid)
+        d = partial_trace(mid, [1])
         assert np.abs(d - (f / 2.0) ** 2 * np.eye(2)).max() < 1e-12
 
 
@@ -90,7 +90,7 @@ def test_random_start_is_feasible_and_reproducible():
     a = random_trace_preserving_choi(np.random.default_rng(9))
     b = random_trace_preserving_choi(np.random.default_rng(9))
     assert np.array_equal(a, b)
-    assert np.abs(trace_over_outputs(a) - np.eye(2)).max() < 1e-12
+    assert np.abs(partial_trace(a, [1]) - np.eye(2)).max() < 1e-12
     w = np.linalg.eigvalsh(a)
     assert w[0] > 1e-6  # Ginibre start is full rank
     assert np.abs(a - a.conj().T).max() < 1e-12
@@ -163,7 +163,7 @@ def _chi_space_step(chi, score):
     The reference for the optimizer's step on a Kraus factor of chi.
     """
     op = score @ chi @ score
-    h = trace_over_outputs(op)
+    h = partial_trace(op, [1])
     tr = np.trace(h).real
     s = np.sqrt(max(np.linalg.det(h).real, 0.0))
     if s <= 1e-12 * tr:

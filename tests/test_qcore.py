@@ -126,6 +126,11 @@ def test_fidelity_pure_validation():
         fidelity_pure(plus, skew)
     with pytest.raises(ValueError):
         fidelity_pure(np.array([2.0, 0.0]), np.eye(2) / 2)  # not unit norm
+    infinite = np.eye(2) / 2
+    infinite[0, 1] = np.inf
+    for bad in (np.full((2, 2), np.nan), infinite):
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity_pure(plus, bad)
 
 
 def test_bloch_vector_axis_states():
