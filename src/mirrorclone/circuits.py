@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloners import SQRT2, mpcc_params
-from .qcore import PAULI_X, check_finite, check_state
+from .qcore import PAULI_X, check_finite, check_qubits, check_state, kron
 
 # reflection that conjugates a bit flip into a Hadamard: A X A = H, A A = id
 HADAMARD_CONJUGATOR = np.array(
@@ -65,12 +64,7 @@ class Gate:
             raise ValueError(f"{self.kind} takes {n_qubits} qubit indices")
         if len(self.params) != n_params:
             raise ValueError(f"{self.kind} takes {n_params} parameters")
-        if not all(isinstance(q, numbers.Integral) for q in self.qubits):
-            raise ValueError("qubit indices must be integers")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("gate qubit indices must be distinct")
-        if any(q < 1 or q > 3 for q in self.qubits):
-            raise ValueError("qubit indices must lie in 1..3")
+        check_qubits(self.qubits, 3)
         for p in self.params:
             check_finite(p, "gate parameter")
         if self.kind in ("CCR", "CCR0", "EVOLVE") and self.qubits != (1, 2, 3):
@@ -92,7 +86,7 @@ class Circuit:
 def _on(u: np.ndarray, qubits) -> np.ndarray:
     """8x8 matrix of the 2^k x 2^k ``u`` on ``qubits`` (in that order), identity on the rest."""
     order = [*qubits, *(q for q in (1, 2, 3) if q not in qubits)]
-    full = np.kron(u, np.eye(8 >> len(qubits))).reshape((2,) * 6)
+    full = kron(u, np.eye(8 >> len(qubits))).reshape((2,) * 6)
     axes = [order.index(q) for q in (1, 2, 3)]
     return full.transpose(axes + [a + 3 for a in axes]).reshape(8, 8)
 

@@ -95,8 +95,8 @@ def mpcc_params(theta: float) -> MpccParams:
     minus = math.sqrt(max(0.5 - shift, 0.0))
     candidates = (plus, -plus, minus, -minus)
     lam = candidates[0]
-    best = max(fidelity_for_amplitude(theta, c) for c in candidates)
-    if best - fidelity_for_amplitude(theta, lam) > 1e-12:
+    values = [fidelity_for_amplitude(theta, c) for c in candidates]
+    if max(values) - values[0] > 1e-12:
         raise ArithmeticError(
             f"amplitude selection failed at theta={theta!r}: "
             f"first stationary point is not the maximizer"

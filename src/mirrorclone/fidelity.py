@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import FIDELITY_MINIMUM_ANGLE, _check_polar, check_choi, clone
-from .qcore import ID2, check_finite, fidelity_pure, ket_from_angles
+from .qcore import ID2, check_finite, fidelity_pure, ket_from_angles, kron
 
 _TWO_PI = 2.0 * math.pi
 _N_PHI = 3  # azimuth nodes per atom, the fewest exact for degree 2
@@ -139,7 +139,7 @@ def _prior_average(prior: PriorDistribution, fn):
 def _projector_score(psi: np.ndarray) -> np.ndarray:
     """Score operator of one pure input: rho^T tensor the clone-averaged projector."""
     rho_in = np.outer(psi, psi.conj())
-    return np.kron(rho_in.T, 0.5 * (np.kron(rho_in, ID2) + np.kron(ID2, rho_in)))
+    return kron(rho_in.T, 0.5 * (kron(rho_in, ID2) + kron(ID2, rho_in)))
 
 
 def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:

@@ -27,12 +27,14 @@ import numpy as np
 
 from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params
 from .fidelity import PriorDistribution, _check_scores, score_operator
-from .qcore import check_finite, partial_trace
+from .qcore import check_finite, kron, partial_trace
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
 # default step cap of optimize_batch and optimize_map, and so of `mirror-clone optimize`
 MAX_ITER = 4000
+_EYE2 = np.eye(2)
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def certificate(theta: float) -> OptimalityCertificate:
     lambda_scalar = complex(np.trace(lam_op)).real / 2.0
     trace_gap = complex(np.trace(lam_op)).real - f
 
-    delta = _lift(lam_op) - score
+    delta = kron(lam_op, _EYE4) - score
     delta = (delta + delta.conj().T) / 2.0
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(delta))
 
@@ -133,15 +135,6 @@ class OptimizeResult:
     fidelity_history: tuple[float, ...]
 
 
-_EYE2 = np.eye(2)
-_EYE4 = np.eye(4)[:, None, :]
-
-
-def _lift(m: np.ndarray) -> np.ndarray:
-    """m tensor id4 for a 2x2 matrix or a stack of them."""
-    return (m[..., :, None, :, None] * _EYE4).reshape(*m.shape[:-2], 8, 8)
-
-
 def _trace_preserving(k: np.ndarray) -> np.ndarray:
     """Rescale an (N, 8, 8) stack of Kraus factors to trace-preserving maps.
 
@@ -175,7 +168,7 @@ def _trace_preserving(k: np.ndarray) -> np.ndarray:
         m[rank_one] = p / np.sqrt(tr[rank_one])
     out = (m @ rows).reshape(-1, 8, 8)
     if kernel:
-        wide = np.concatenate([out[rank_one], _lift(_EYE2 - p) / 2.0], axis=2)
+        wide = np.concatenate([out[rank_one], kron(_EYE2 - p, _EYE4) / 2.0], axis=2)
         out[rank_one] = np.linalg.qr(wide.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
     return out
 

@@ -41,12 +41,20 @@ def ket_from_angles(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def num_qubits(dim: int) -> int:
-    """Number of qubits for a Hilbert-space dimension in {2, 4, 8}."""
-    n = max(dim, 1).bit_length() - 1
-    if dim != 1 << n or not 1 <= n <= 3:
-        raise ValueError(f"dimension {dim} is not a register of 1..3 qubits")
-    return n
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor product a tensor b of two matrices, or of two broadcasting stacks of them."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
+def check_qubits(qubits, n: int) -> list:
+    """Returns ``qubits`` as a list if they are distinct integers in 1..n, else ValueError."""
+    qubits = list(qubits)
+    if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits):
+        raise ValueError(f"qubit indices {qubits!r} must be integers")
+    if len(set(qubits)) != len(qubits) or any(q < 1 or q > n for q in qubits):
+        raise ValueError(f"qubit indices {qubits!r} must be distinct integers in 1..{n}")
+    return qubits
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -56,14 +64,10 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     ``partial_trace(rho, [2, 1])`` also swaps them.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("partial_trace expects a square matrix")
-    n = num_qubits(rho.shape[0])
-    keep = list(keep)
-    if not all(isinstance(q, numbers.Integral) for q in keep):
-        raise ValueError("keep indices must be integers")
-    if len(set(keep)) != len(keep) or any(q < 1 or q > n for q in keep):
-        raise ValueError(f"keep indices must be distinct integers in 1..{n}")
+    n = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(rho.shape)
+    if n is None:
+        raise ValueError(f"partial_trace expects a 2x2, 4x4 or 8x8 matrix, not shape {rho.shape}")
+    keep = check_qubits(keep, n)
     if not keep or len(keep) == n:
         raise ValueError("keep must be a nonempty strict subset of the qubits")
     t = rho.reshape((2,) * (2 * n))

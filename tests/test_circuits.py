@@ -73,6 +73,10 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("NOT", (2.0,))
     with pytest.raises(ValueError):
+        Gate("NOT", (True,))  # a bool is not a qubit index
+    with pytest.raises(ValueError):
+        Gate("NOT", ([1],))  # unhashable entry
+    with pytest.raises(ValueError):
         Gate("NOT", 2)  # qubits not a sequence
     with pytest.raises(ValueError):
         Gate("ROTY", (1,), 0.5)  # params not a sequence

@@ -17,7 +17,7 @@ from mirrorclone.qcore import (
     fidelity_pure,
     haar_random_state,
     ket_from_angles,
-    num_qubits,
+    kron,
     partial_trace,
 )
 
@@ -58,13 +58,35 @@ def test_ket_from_angles_rejects_nonfinite():
         ket_from_angles(0.0, math.inf)
 
 
-def test_num_qubits():
-    assert num_qubits(2) == 1
-    assert num_qubits(4) == 2
-    assert num_qubits(8) == 3
-    for dim in (0, 1, 3, 6, 16):
-        with pytest.raises(ValueError):
-            num_qubits(dim)
+def same_bits(x, y):
+    """Equal arrays whose zeros also agree in sign, real and imaginary parts alike."""
+    return np.array_equal(x, y) and all(
+        np.array_equal(np.signbit(part(x)), np.signbit(part(y))) for part in (np.real, np.imag)
+    )
+
+
+def signed_operand(rng, shape, complex_):
+    """Random entries with some real and imaginary parts set to -0.0 or +0.0 on purpose."""
+    parts = [rng.standard_normal(shape) for _ in range(1 + complex_)]
+    for part in parts:
+        part[rng.random(shape) < 0.2] = -0.0
+        part[rng.random(shape) < 0.1] = 0.0
+    return parts[0] + 1j * parts[1] if complex_ else parts[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    dims=st.tuples(*[st.sampled_from([1, 2, 4, 8])] * 2),
+    complex_=st.tuples(st.booleans(), st.booleans()),
+)
+def test_kron_matches_numpy_kron_bit_for_bit(seed, dims, complex_):
+    rng = np.random.default_rng(seed)
+    a = signed_operand(rng, (dims[0], dims[0]), complex_[0])
+    b = signed_operand(rng, (dims[1], dims[1]), complex_[1])
+    assert same_bits(kron(a, b), np.kron(a, b))
+    stack = signed_operand(rng, (5, 2, 2), complex_[0])
+    assert same_bits(kron(stack, b), np.array([np.kron(m, b) for m in stack]))
 
 
 def test_partial_trace_product_state(rng):
@@ -102,11 +124,12 @@ def test_partial_trace_preserves_trace_and_hermiticity(seed, keep):
 
 def test_partial_trace_validation(rng):
     rho = random_density(rng, 4)
-    for keep in ([], [1, 2], [0], [3], [1, 1], [1.5], [1.0]):
+    for keep in ([], [1, 2], [0], [3], [1, 1], [1.5], [1.0], [True]):
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
-    with pytest.raises(ValueError):
-        partial_trace(np.zeros((2, 4)), [1])
+    for bad in (np.zeros((2, 4)), np.zeros(4), *(np.eye(dim) for dim in (0, 1, 3, 6, 16))):
+        with pytest.raises(ValueError):
+            partial_trace(bad, [1])
 
 
 def test_fidelity_pure_matches_quadratic_form(rng):
