@@ -46,6 +46,7 @@ from .optimality import (
     OptimalityCertificate,
     OptimizeResult,
     certificate,
+    certificate_batch,
     optimize_batch,
     optimize_map,
 )

@@ -19,6 +19,7 @@ Gate kinds:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,20 +109,27 @@ def _rz(angle: float) -> np.ndarray:
     return np.diag([cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)])
 
 
+@functools.cache
+def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """Read-only 8x8 unitary of a NOT, CNOT or CH gate, built once per (kind, qubits) pair."""
+    m = _on(_controlled(PAULI_X, len(qubits) - 1), qubits)
+    if kind == "CH":
+        conj = _on(HADAMARD_CONJUGATOR, qubits[1:])
+        m = conj @ m @ conj
+    m.flags.writeable = False
+    return m
+
+
 def gate_matrix(gate: Gate) -> np.ndarray:
     """8x8 unitary of a gate on the three-qubit register."""
     kind = gate.kind
     if kind == "EVOLVE":
         return eqneighbor_propagator(*gate.params)
     if kind in ("NOT", "CNOT", "CH"):
-        u = PAULI_X
-    else:  # ROTY, or a phase rotation for CR, CCR and CCR0
-        u = (_ry if kind == "ROTY" else _rz)(gate.params[0])
-    m = _on(_controlled(u, len(gate.qubits) - 1, 0 if kind == "CCR0" else 1), gate.qubits)
-    if kind == "CH":
-        conj = _on(HADAMARD_CONJUGATOR, gate.qubits[1:])
-        m = conj @ m @ conj
-    return m
+        return _fixed_gate(kind, gate.qubits).copy()
+    # ROTY, or a phase rotation for CR, CCR and CCR0
+    u = (_ry if kind == "ROTY" else _rz)(gate.params[0])
+    return _on(_controlled(u, len(gate.qubits) - 1, 0 if kind == "CCR0" else 1), gate.qubits)
 
 
 def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:

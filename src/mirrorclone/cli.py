@@ -38,7 +38,7 @@ from .cloners import (
 from .fidelity import PriorDistribution, score_operator
 # optimize_map is unused here but stays bound: perfbench/selftest.py checks
 # that its tracer rebinds mirrorclone.cli.optimize_map
-from .optimality import certificate, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
+from .optimality import certificate_batch, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
 from .qcore import haar_random_state
 
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
@@ -171,13 +171,11 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     rows = []
     failures = []
-    for theta in check_grid(args):
-        theta = float(theta)
-        cert = certificate(theta)
+    for cert in certificate_batch([float(theta) for theta in check_grid(args)]):
         ok = cert.psd_ok and cert.saturation_ok and cert.fidelity_identity_residual <= CERTIFY_TOL
         if not ok:
-            failures.append(theta)
-        rows.append(dict(vars(cert)))
+            failures.append(cert.theta)
+        rows.append(vars(cert))
     _write_rows(rows, args)
     if failures:
         print(

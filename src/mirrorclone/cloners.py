@@ -71,8 +71,12 @@ def fidelity_for_amplitude(theta: float, lam: float) -> float:
     _check_polar(theta)
     if not -1.0 <= check_finite(lam, "amplitude") <= 1.0:
         raise ValueError("amplitude must lie in [-1, 1]")
+    return _amplitude_fidelity(math.sin(theta) ** 2, lam)
+
+
+def _amplitude_fidelity(s_sq: float, lam: float) -> float:
+    """fidelity_for_amplitude from s_sq = sin(theta)^2, unchecked."""
     lam_bar_sq = max(1.0 - lam * lam, 0.0)
-    s_sq = math.sin(theta) ** 2
     return (1.0 + lam * lam) / 2.0 - 0.5 * s_sq * (lam * lam - lam * math.sqrt(2.0 * lam_bar_sq))
 
 
@@ -95,7 +99,8 @@ def mpcc_params(theta: float) -> MpccParams:
     minus = math.sqrt(max(0.5 - shift, 0.0))
     candidates = (plus, -plus, minus, -minus)
     lam = candidates[0]
-    values = [fidelity_for_amplitude(theta, c) for c in candidates]
+    s_sq = math.sin(theta) ** 2
+    values = [_amplitude_fidelity(s_sq, c) for c in candidates]
     if max(values) - values[0] > 1e-12:
         raise ArithmeticError(
             f"amplitude selection failed at theta={theta!r}: "
@@ -122,14 +127,14 @@ def choi_from_weights(a: float, b: float, c: float) -> np.ndarray:
     Weight a sits on the direct-copy projectors |000><000| and |111><111|,
     b on the symmetric-mix block, c on the coherences connecting them.
     Trace preservation requires a + 2b = 1; the matrix is rank 2 when
-    c = sqrt(a*b).
+    c = sqrt(a*b).  Equal-length arrays of weights give an (N, 8, 8) stack.
     """
-    chi = np.zeros((8, 8), dtype=np.complex128)
-    chi[0, 0] = chi[7, 7] = a
+    chi = np.zeros(np.shape(a) + (8, 8), dtype=np.complex128)
+    chi[..., 0, 0] = chi[..., 7, 7] = a
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2), (5, 5), (5, 6), (6, 5), (6, 6)):
-        chi[i, j] = b
+        chi[..., i, j] = b
     for i, j in ((0, 5), (0, 6), (5, 0), (6, 0), (1, 7), (2, 7), (7, 1), (7, 2)):
-        chi[i, j] = c
+        chi[..., i, j] = c
     return chi
 
 

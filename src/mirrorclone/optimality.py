@@ -66,54 +66,67 @@ class OptimalityCertificate:
     delta_closed_form: tuple[float, float, float, float]
 
 
-def certificate(theta: float) -> OptimalityCertificate:
-    """Build and evaluate the optimality certificate at one polar angle.
+def certificate_batch(thetas) -> list[OptimalityCertificate]:
+    """Build and evaluate the optimality certificate at each polar angle.
 
-    Failures are reported in the record's flags, not raised: a false
-    psd_ok or saturation_ok is data for the caller to act on.
+    Each matrix step runs once on the stacked chi and R of all angles; an
+    angle outside [0, pi] raises ValueError.  A failed check is not raised:
+    a false psd_ok or saturation_ok is data for the caller to act on.
     """
-    pr = mpcc_params(theta)
-    chi = choi_from_weights(pr.a, pr.b, pr.c)
-    score = score_operator(PriorDistribution.mirror(theta))
-    f = pr.fidelity
+    params = [mpcc_params(theta) for theta in thetas]
+    if not params:
+        return []
+    score = np.empty((len(params), 8, 8), dtype=np.complex128)  # complex: no cast in score @ chi
+    for i, pr in enumerate(params):
+        score[i] = score_operator(PriorDistribution.mirror(pr.theta))
+    weights = np.array([(pr.a, pr.b, pr.c) for pr in params]).T
 
-    lam_op = partial_trace(score @ chi, [1])
-    lambda_scalar = complex(np.trace(lam_op)).real / 2.0
-    trace_gap = complex(np.trace(lam_op)).real - f
-
+    lam_op = partial_trace(score @ choi_from_weights(*weights), [1])
+    traces = np.trace(lam_op, axis1=1, axis2=2).real
+    proportionality = np.abs(lam_op - (traces / 2.0)[:, None, None] * np.eye(2)).max(axis=(1, 2))
     delta = kron(lam_op, _EYE4) - score
-    delta = (delta + delta.conj().T) / 2.0
-    spectrum = tuple(float(x) for x in np.linalg.eigvalsh(delta))
+    delta += delta.conj().swapaxes(1, 2)  # in place, as the stacks set the peak memory
+    delta /= 2.0
+    spectra = np.linalg.eigvalsh(delta)
 
-    s1_sq = math.sin(theta) ** 2
-    r00 = float(score[0, 0])
-    r11 = float(score[1, 1])
-    r05 = float(score[0, 5])
-    rbar = math.hypot(r00 - r11, math.sqrt(8.0) * r05)
-    d1 = 0.5 * (f - 0.5)
-    d2 = 0.5 * (f - s1_sq / 2.0)
-    d3 = 0.5 * (f - r00 - r11 + rbar)
-    d4 = 0.5 * (f - r00 - r11 - rbar)
-    closed = sorted((d1, d1, d2, d2, d3, d3, d4, d4))
-    spectrum_residual = max(abs(s - c) for s, c in zip(spectrum, closed))
+    out = []
+    corners = score[:, [0, 1, 0], [0, 1, 5]].real.tolist()  # R[0,0], R[1,1], R[0,5] of each angle
+    rows = zip(params, traces.tolist(), proportionality.tolist(), spectra.tolist(), corners)
+    for pr, trace, prop, spectrum, (r00, r11, r05) in rows:
+        f = pr.fidelity
+        lambda_scalar = trace / 2.0
+        trace_gap = trace - f
+        s1_sq = math.sin(pr.theta) ** 2
+        rbar = math.hypot(r00 - r11, math.sqrt(8.0) * r05)
+        d1 = 0.5 * (f - 0.5)
+        d2 = 0.5 * (f - s1_sq / 2.0)
+        d3 = 0.5 * (f - r00 - r11 + rbar)
+        d4 = 0.5 * (f - r00 - r11 - rbar)
+        closed = sorted((d1, d1, d2, d2, d3, d3, d4, d4))
+        cos_sq = math.cos(pr.theta) ** 2
+        weights_form = ((1.0 + cos_sq) * pr.a + 2.0 * pr.b + 2.0 * s1_sq * pr.c) / 4.0
+        out.append(
+            OptimalityCertificate(
+                theta=pr.theta,
+                lambda_scalar=lambda_scalar,
+                trace_gap=trace_gap,
+                delta_spectrum=tuple(spectrum),
+                delta_closed_form=(d1, d2, d3, d4),
+                fidelity_identity_residual=abs(f - r00 - r11 - rbar),
+                spectrum_residual=max(abs(s - c) for s, c in zip(spectrum, closed)),
+                proportionality=prop,
+                weights_form_residual=abs(lambda_scalar - weights_form),
+                half_fidelity_residual=abs(lambda_scalar - f / 2.0),
+                psd_ok=bool(spectrum[0] >= -PSD_TOL),
+                saturation_ok=bool(abs(trace_gap) <= SATURATION_TOL),
+            )
+        )
+    return out
 
-    cos_sq = math.cos(theta) ** 2
-    weights_form = ((1.0 + cos_sq) * pr.a + 2.0 * pr.b + 2.0 * s1_sq * pr.c) / 4.0
 
-    return OptimalityCertificate(
-        theta=theta,
-        lambda_scalar=lambda_scalar,
-        trace_gap=trace_gap,
-        delta_spectrum=spectrum,
-        delta_closed_form=(d1, d2, d3, d4),
-        fidelity_identity_residual=abs(f - r00 - r11 - rbar),
-        spectrum_residual=spectrum_residual,
-        proportionality=float(np.abs(lam_op - lambda_scalar * np.eye(2)).max()),
-        weights_form_residual=abs(lambda_scalar - weights_form),
-        half_fidelity_residual=abs(lambda_scalar - f / 2.0),
-        psd_ok=bool(spectrum[0] >= -PSD_TOL),
-        saturation_ok=bool(abs(trace_gap) <= SATURATION_TOL),
-    )
+def certificate(theta: float) -> OptimalityCertificate:
+    """The optimality certificate at one polar angle: certificate_batch([theta])[0]."""
+    return certificate_batch([theta])[0]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def check_qubits(qubits, n: int) -> list:
     """Returns ``qubits`` as a list if they are distinct integers in 1..n, else ValueError."""
-    qubits = list(qubits)
+    try:
+        qubits = list(qubits)
+    except TypeError:
+        raise ValueError(f"qubit indices {qubits!r} are not a sequence") from None
     if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits):
         raise ValueError(f"qubit indices {qubits!r} must be integers")
     if len(set(qubits)) != len(qubits) or any(q < 1 or q > n for q in qubits):
@@ -61,24 +64,21 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Trace out every qubit not listed in ``keep`` (1-based indices).
 
     The result carries the kept qubits in the order given, so
-    ``partial_trace(rho, [2, 1])`` also swaps them.
+    ``partial_trace(rho, [2, 1])`` also swaps them.  Leading axes of
+    ``rho`` are a stack: each matrix in it is traced on its own.
     """
     rho = np.asarray(rho)
-    n = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(rho.shape)
+    n = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(rho.shape[-2:])
     if n is None:
-        raise ValueError(f"partial_trace expects a 2x2, 4x4 or 8x8 matrix, not shape {rho.shape}")
+        raise ValueError(f"partial_trace expects 2x2, 4x4 or 8x8 matrices, not shape {rho.shape}")
     keep = check_qubits(keep, n)
     if not keep or len(keep) == n:
         raise ValueError("keep must be a nonempty strict subset of the qubits")
-    t = rho.reshape((2,) * (2 * n))
-    row = list(range(n))
-    col = [q + n for q in range(n)]
-    for q in range(n):
-        if q + 1 not in keep:
-            col[q] = row[q]  # same label on both axes contracts them
-    out = [row[q - 1] for q in keep] + [col[q - 1] for q in keep]
-    dim = 1 << len(keep)
-    return np.einsum(t, row + col, out).reshape(dim, dim)
+    stack = rho.shape[:-2]
+    t = rho.reshape(stack + (2,) * (2 * n))
+    col = [q + n if q + 1 in keep else q for q in range(n)]  # a shared label contracts two axes
+    out = [q - 1 for q in keep] + [col[q - 1] for q in keep]
+    return np.einsum(t, [..., *range(n), *col], [..., *out]).reshape(stack + (1 << len(keep),) * 2)
 
 
 def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:

@@ -171,6 +171,15 @@ def test_gate_matrix_matches_kron_reference(gate):
     assert np.array_equal(gate_matrix(gate), reference_matrix(gate))
 
 
+@pytest.mark.parametrize("gate", [Gate("CNOT", (1, 3)), Gate("NOT", (2,)), Gate("CH", (3, 2))])
+def test_fixed_gate_matrix_is_a_fresh_copy(gate):
+    first = gate_matrix(gate)
+    first[:] = 7.0
+    again = gate_matrix(gate)
+    assert again is not first and np.array_equal(again, reference_matrix(gate))
+    assert again.flags.writeable
+
+
 def test_hamiltonian_matches_ordered_pair_sum():
     lower = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |1><0|
     raise_ = lower.T

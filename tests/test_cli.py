@@ -296,13 +296,12 @@ def test_optimize_runs_above_the_cap_exit_2(capsys):
 
 
 def test_certify_failure_exits_1(monkeypatch, capsys):
-    real = cli.certificate
+    real = cli.certificate_batch
 
-    def certificate(theta):
-        cert = real(theta)
-        return dataclasses.replace(cert, psd_ok=False) if theta == 0.5 else cert
+    def certificate_batch(thetas):
+        return [dataclasses.replace(c, psd_ok=False) if c.theta == 0.5 else c for c in real(thetas)]
 
-    monkeypatch.setattr(cli, "certificate", certificate)
+    monkeypatch.setattr(cli, "certificate_batch", certificate_batch)
     assert main(["certify", "--theta-min", "0.0", "--theta-max", "1.0", "--steps", "3"]) == 1
     assert "certificate failed at theta: 0.5" in capsys.readouterr().err
 

@@ -19,6 +19,7 @@ from mirrorclone.fidelity import PriorDistribution, score_operator
 from mirrorclone.optimality import (
     OptimalityCertificate,
     certificate,
+    certificate_batch,
     choi_pattern_defect,
     optimize_batch,
     optimize_map,
@@ -63,6 +64,31 @@ def test_certificate_grid_all_pass():
         # the scalar identity pins the smallest closed-form eigenvalue to zero
         assert abs(cert.delta_closed_form[3]) <= 1e-12, theta
         assert len(cert.delta_spectrum) == 8
+
+
+def _bits(cert):
+    """Every field of a certificate, floats by their exact bit pattern."""
+    def bits(v):
+        return v.hex() if isinstance(v, float) else tuple(map(bits, v)) if isinstance(v, tuple) else v
+
+    return {name: bits(value) for name, value in vars(cert).items()}
+
+
+def test_certificate_batch_equals_lone_certificates_bit_for_bit():
+    grid = [0.0, 0.3, FIDELITY_MINIMUM_ANGLE, 1.2, math.pi / 2, 2.0, math.pi - FIDELITY_MINIMUM_ANGLE, math.pi]
+    batch = certificate_batch(grid)
+    assert [cert.theta for cert in batch] == grid
+    for cert, theta in zip(batch, grid):
+        assert type(cert) is OptimalityCertificate
+        assert _bits(cert) == _bits(certificate(theta))
+        assert all(type(v) is float for v in cert.delta_spectrum + cert.delta_closed_form)
+
+
+def test_certificate_batch_edge_cases():
+    assert certificate_batch([]) == []
+    for bad in ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"]):
+        with pytest.raises(ValueError):
+            certificate_batch(bad)
 
 
 def test_certificate_spectrum_is_doubly_degenerate():

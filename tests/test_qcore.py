@@ -124,12 +124,21 @@ def test_partial_trace_preserves_trace_and_hermiticity(seed, keep):
 
 def test_partial_trace_validation(rng):
     rho = random_density(rng, 4)
-    for keep in ([], [1, 2], [0], [3], [1, 1], [1.5], [1.0], [True]):
+    for keep in ([], [1, 2], [0], [3], [1, 1], [1.5], [1.0], [True], 1, None):
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
     for bad in (np.zeros((2, 4)), np.zeros(4), *(np.eye(dim) for dim in (0, 1, 3, 6, 16))):
         with pytest.raises(ValueError):
             partial_trace(bad, [1])
+
+
+@pytest.mark.parametrize("dim, keep", [(4, [2]), (4, [1]), (8, [1]), (8, [3, 1]), (8, [2, 3])])
+def test_stacked_partial_trace_equals_each_slice_bit_for_bit(rng, dim, keep):
+    stack = np.array([random_density(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+    got = partial_trace(stack, keep)
+    assert got.shape == (2, 3) + (2 ** len(keep),) * 2
+    for idx in np.ndindex(2, 3):
+        assert got[idx].tobytes() == partial_trace(stack[idx], keep).tobytes()
 
 
 def test_fidelity_pure_matches_quadratic_form(rng):
