@@ -11,6 +11,7 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     bloch_vector,
+    check_choi,
     fidelity_pure,
     haar_random_state,
     ket_from_angles,
@@ -27,7 +28,6 @@ from .fidelity import (
 from .cloners import (
     FIDELITY_MINIMUM_ANGLE,
     MpccParams,
-    check_choi,
     choi_from_weights,
     clone,
     fidelity_for_amplitude,

@@ -266,12 +266,9 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray):
 
     Returns (equal, residual) with residual = 1 - |<a|b>|, equal when <= 1e-10.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = check_state(a), check_state(b)
     if a.shape != b.shape:
         raise ValueError("states must have equal shape")
-    check_state(a)
-    check_state(b)
     residual = 1.0 - abs(complex(np.vdot(a, b)))
     return residual <= 1e-10, residual
 

@@ -25,7 +25,6 @@ from .circuits import (
 )
 from .cloners import (
     FIDELITY_MINIMUM_ANGLE,
-    _check_polar,
     mpcc_fidelity,
     mpcc_isometry_apply,
     mpcc_params,
@@ -39,7 +38,7 @@ from .fidelity import PriorDistribution, score_operator
 # optimize_map is unused here but stays bound: perfbench/selftest.py checks
 # that its tracer rebinds mirrorclone.cli.optimize_map
 from .optimality import certificate_batch, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
-from .qcore import haar_random_state
+from .qcore import check_finite, check_int, check_polar, haar_random_state
 
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
 CERTIFY_TOL = 1e-10  # certify's bound on the fidelity-identity residual
@@ -52,12 +51,9 @@ MAX_OPTIMIZE_RUNS = 10_000
 
 def _check_grid_flags(args: argparse.Namespace) -> None:
     """The grid flags every subcommand takes, or ValueError (exit 2)."""
-    _check_polar(args.theta_min)
-    _check_polar(args.theta_max)
-    if args.theta_min > args.theta_max:
+    if check_polar(args.theta_min) > check_polar(args.theta_max):
         raise ValueError("need theta-min <= theta-max")
-    if not 2 <= args.steps <= MAX_STEPS:
-        raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
+    check_int(args.steps, "steps", 2, MAX_STEPS)
 
 
 def uniform_grid(args: argparse.Namespace) -> np.ndarray:
@@ -142,8 +138,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bloch(args: argparse.Namespace) -> int:
-    phi = args.phi
-    _check_polar(0.0, phi)  # before math.cos(inf) raises a bare "math domain error"
+    phi = check_finite(args.phi, "azimuth")  # before math.cos(inf) raises a bare "math domain error"
     plane = np.array([math.cos(phi), math.sin(phi), 0.0])
     rows = []
     for theta in uniform_grid(args):
@@ -224,9 +219,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    seeds = args.seeds
-    if seeds < 1:
-        raise ValueError("seeds must be at least 1")
+    seeds = check_int(args.seeds, "seeds", 1)
     if args.steps * seeds > MAX_OPTIMIZE_RUNS:
         raise ValueError(f"steps x seeds must be at most {MAX_OPTIMIZE_RUNS}")
     grid = [float(theta) for theta in check_grid(args)]

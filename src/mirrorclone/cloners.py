@@ -17,19 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import check_finite, check_state, partial_trace
+from .qcore import check_choi, check_finite, check_int, check_polar, check_state, partial_trace
 
 SQRT2 = math.sqrt(2.0)
 
 # polar angle at which the mirror machine's fidelity reaches its minimum 5/6
 FIDELITY_MINIMUM_ANGLE = math.acos(math.sqrt(3.0) / 3.0)
-
-
-def _check_polar(theta: float, phi: float = 0.0) -> None:
-    """A polar angle in [0, pi] and a finite azimuth, or ValueError."""
-    if not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
-        raise ValueError(f"polar angle {theta!r} outside [0, pi]")
-    check_finite(phi, "azimuth")
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,7 @@ def fidelity_for_amplitude(theta: float, lam: float) -> float:
 
     F = (1 + lam^2)/2 - sin(theta)^2 * (lam^2 - lam*sqrt(2 - 2*lam^2)) / 2
     """
-    _check_polar(theta)
+    check_polar(theta)
     if not -1.0 <= check_finite(lam, "amplitude") <= 1.0:
         raise ValueError("amplitude must lie in [-1, 1]")
     return _amplitude_fidelity(math.sin(theta) ** 2, lam)
@@ -90,7 +83,7 @@ def mpcc_params(theta: float) -> MpccParams:
     optimum; this is asserted against a direct argmax over all four and
     any disagreement raises ArithmeticError.
     """
-    _check_polar(theta)
+    check_polar(theta)
     cos_sq = math.cos(theta) ** 2
     p = 2.0 - 4.0 * cos_sq + 3.0 * cos_sq * cos_sq
     shift = cos_sq / (2.0 * math.sqrt(p))
@@ -156,10 +149,7 @@ def mpcc_isometry_apply(theta: float, psi: np.ndarray) -> np.ndarray:
       |0>  ->  lam |000> + lam_bar (|011> + |101|)/sqrt(2)
       |1>  ->  lam |111> + lam_bar (|010> + |100|)/sqrt(2)
     """
-    psi = np.asarray(psi)
-    if psi.shape != (2,):
-        raise ValueError("input must be a single-qubit state vector")
-    check_state(psi)
+    psi = check_state(psi, 2)
     pr = mpcc_params(theta)
     h = pr.lam_bar / SQRT2
     image0 = np.array([pr.lam, 0, 0, h, 0, h, 0, 0], dtype=np.complex128)
@@ -173,40 +163,13 @@ def clone(psi: np.ndarray, chi: np.ndarray):
     Returns (rho_out, rho1, rho2): the joint two-clone state and the two
     reduced clone states.  Raises ValueError if chi fails check_choi.
     """
-    psi = np.asarray(psi)
-    if psi.shape != (2,):
-        raise ValueError("input must be a single-qubit state vector")
-    check_state(psi)
+    psi = check_state(psi, 2)
     chi = check_choi(chi)
     # Tr_in[chi (rho_in^T tensor id)] as one contraction over the input indices
     rho_out = np.einsum("iajb,ij->ab", chi.reshape(2, 4, 2, 4), np.outer(psi, psi.conj()))
     rho1 = partial_trace(rho_out, [1])
     rho2 = partial_trace(rho_out, [2])
     return rho_out, rho1, rho2
-
-
-def check_choi(chi: np.ndarray) -> np.ndarray:
-    """Validate that chi is a completely positive trace-preserving process.
-
-    Checks that the entries are finite, Hermiticity to 1e-12, positivity
-    of the spectrum down to -1e-10, and that the partial trace over both
-    clones is the identity on the input to 1e-10.
-    """
-    chi = np.asarray(chi)
-    if chi.shape != (8, 8):
-        raise ValueError("process matrix must be 8x8")
-    if not np.isfinite(chi).all():
-        raise ValueError("process matrix has non-finite entries")
-    herm = float(np.abs(chi - chi.conj().T).max())
-    if herm > 1e-12:
-        raise ValueError(f"process matrix not Hermitian: deviation {herm:.3e}")
-    w = np.linalg.eigvalsh(chi)
-    if w[0] < -1e-10:
-        raise ValueError(f"process matrix has negative eigenvalue {w[0]:.3e}")
-    defect = float(np.abs(partial_trace(chi, [1]) - np.eye(2)).max())
-    if defect > 1e-10:
-        raise ValueError(f"process matrix is not trace preserving: defect {defect:.3e}")
-    return chi
 
 
 def mpcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
@@ -216,8 +179,8 @@ def mpcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
      sqrt(2) lam lam_bar sin(theta) sin(phi),
      lam^2 cos(theta))
     """
-    _check_polar(theta, phi)
     pr = mpcc_params(theta)
+    check_finite(phi, "azimuth")
     r_eq = SQRT2 * pr.lam * pr.lam_bar * math.sin(theta)
     return np.array([r_eq * math.cos(phi), r_eq * math.sin(phi), pr.a * math.cos(theta)])
 
@@ -230,7 +193,7 @@ def _pole_sign(theta: float) -> float:
 
 def pcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
     """Bloch vector of either clone of the phase-covariant machine."""
-    _check_polar(theta, phi)
+    check_polar(theta, phi)
     s = _pole_sign(theta)
     return np.array(
         [
@@ -243,7 +206,7 @@ def pcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
 
 def pcc_fidelity(theta: float) -> float:
     """Clone fidelity of the phase-covariant machine at known polar angle."""
-    _check_polar(theta)
+    check_polar(theta)
     s = _pole_sign(theta)
     cos_t = math.cos(theta)
     return 0.5 * (1.0 + math.sin(theta) ** 2 / SQRT2 + cos_t * (s + cos_t) / 2.0)
@@ -251,14 +214,13 @@ def pcc_fidelity(theta: float) -> float:
 
 def uc_fidelity(n_copies: int = 2) -> float:
     """Fidelity (2M + 1)/(3M) of the symmetric 1-to-M universal machine."""
-    if not int(check_finite(n_copies, "number of copies")) == n_copies >= 1:
-        raise ValueError("number of copies must be an integer >= 1")
+    n_copies = check_int(n_copies, "number of copies", 1)
     return (2.0 * n_copies + 1.0) / (3.0 * n_copies)
 
 
 def uc_clone_bloch(theta: float, phi: float) -> np.ndarray:
     """Bloch vector of a universal-machine clone: the input shrunk by 2/3."""
-    _check_polar(theta, phi)
+    check_polar(theta, phi)
     return (2.0 / 3.0) * np.array(
         [
             math.sin(theta) * math.cos(phi),

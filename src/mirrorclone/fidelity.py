@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import FIDELITY_MINIMUM_ANGLE, _check_polar, check_choi, clone
-from .qcore import ID2, check_finite, fidelity_pure, ket_from_angles, kron
+from .cloners import FIDELITY_MINIMUM_ANGLE, clone
+from .qcore import ID2, check_choi, check_finite, check_polar, check_scores
+from .qcore import fidelity_pure, ket_from_angles, kron
 
 _TWO_PI = 2.0 * math.pi
 _N_PHI = 3  # azimuth nodes per atom, the fewest exact for degree 2
@@ -56,7 +57,7 @@ class PriorDistribution:
                 raise ValueError(f"prior atom {atom!r} is not an (angle, weight) pair")
             angle, weight = atom
             try:
-                _check_polar(angle)
+                check_polar(angle)
                 if check_finite(weight, "weight") < 0.0:
                     raise ValueError(f"weight {weight!r} is negative")
             except ValueError as exc:
@@ -68,8 +69,8 @@ class PriorDistribution:
     @staticmethod
     def mirror(theta: float) -> "PriorDistribution":
         """Equal-weight atoms on theta and its mirror image pi - theta."""
-        _check_polar(theta)  # before pi - theta raises TypeError for a non-real angle
-        return PriorDistribution(((theta, 0.5), (math.pi - theta, 0.5)))
+        # check_polar runs before pi - theta, which raises TypeError for a non-real angle
+        return PriorDistribution(((check_polar(theta), 0.5), (math.pi - theta, 0.5)))
 
     @staticmethod
     def phase_covariant(theta: float) -> "PriorDistribution":
@@ -88,7 +89,7 @@ def r_theta(theta: float) -> np.ndarray:
     Indices run over (input, clone 1, clone 2) with the input qubit most
     significant.  The matrix is real symmetric with nonnegative diagonal.
     """
-    _check_polar(theta)
+    check_polar(theta)
     s1_sq = math.sin(theta) ** 2
     c2_sq = math.cos(theta / 2) ** 2
     s2_sq = math.sin(theta / 2) ** 2
@@ -110,21 +111,6 @@ def score_operator(prior: PriorDistribution) -> np.ndarray:
     for angle, weight in prior.atoms:
         out += weight * r_theta(angle)
     return out
-
-
-def _check_scores(scores) -> np.ndarray:
-    """A non-empty (N, 8, 8) stack of finite, Hermitian, PSD, nonzero scores, as complex."""
-    scores = np.asarray(scores, dtype=complex)
-    if scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
-        raise ValueError("score matrices must be 8x8, stacked as (N, 8, 8) with N >= 1")
-    if not np.isfinite(scores).all():
-        raise ValueError("score matrices must be finite")
-    scale = np.abs(scores).max(axis=(1, 2))
-    if (np.abs(scores - scores.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
-        raise ValueError("score matrices must be Hermitian, with no imaginary part (S - S^dagger)/2i")
-    if (np.linalg.eigvalsh(scores)[:, 0] < -1e-12 * scale).any() or not scale.all():
-        raise ValueError("score matrices must be positive semidefinite and nonzero")
-    return scores
 
 
 def _prior_average(prior: PriorDistribution, fn):
@@ -161,8 +147,8 @@ def average_fidelity(chi: np.ndarray, score: np.ndarray) -> float:
     The score must be a finite Hermitian PSD nonzero 8x8 matrix, as for
     optimize_batch, else ValueError.
     """
-    chi = check_choi(chi)
-    score = _check_scores(np.asarray(score)[None])[0]
+    chi = check_choi(chi).reshape(8, 8)  # a stack of channels raises ValueError here
+    score = check_scores(np.asarray(score)[None])[0]
     val = complex(np.trace(chi @ score))
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity has imaginary residue {val.imag:.3e}")

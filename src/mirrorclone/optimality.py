@@ -20,14 +20,13 @@ trace preservation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import check_choi, choi_from_weights, mpcc_choi, mpcc_params
-from .fidelity import PriorDistribution, _check_scores, score_operator
-from .qcore import check_finite, kron, partial_trace
+from .cloners import choi_from_weights, mpcc_choi, mpcc_params
+from .fidelity import PriorDistribution, score_operator
+from .qcore import check_choi, check_finite, check_int, check_scores, check_sequence, kron, partial_trace
 
 PSD_TOL = 1e-10
 SATURATION_TOL = 1e-10
@@ -73,7 +72,7 @@ def certificate_batch(thetas) -> list[OptimalityCertificate]:
     angle outside [0, pi] raises ValueError.  A failed check is not raised:
     a false psd_ok or saturation_ok is data for the caller to act on.
     """
-    params = [mpcc_params(theta) for theta in thetas]
+    params = [mpcc_params(theta) for theta in check_sequence(thetas, "polar angles")]
     if not params:
         return []
     score = np.empty((len(params), 8, 8), dtype=np.complex128)  # complex: no cast in score @ chi
@@ -219,17 +218,17 @@ def optimize_batch(
     bookkeeping as a lone optimize_map call, and leaves the stack when it
     stops, so its result does not depend on the other runs in the batch.
     Raises ValueError for a score that is not a finite Hermitian PSD
-    nonzero 8x8 matrix, a non-integer seed or max_iter, a non-finite or
-    nonpositive tol, and if a returned chi_star fails check_choi.
+    nonzero 8x8 matrix, a seed that is not an integer >= 0, a max_iter that
+    is not an integer >= 1, a non-finite or nonpositive tol, a scalar in
+    place of the seed list, and if a returned chi_star fails check_choi.
     """
-    scores = _check_scores(scores)
-    seeds = list(seeds)
-    if len(seeds) != len(scores) or not all(isinstance(s, numbers.Integral) for s in seeds):
+    scores = check_scores(scores)
+    seeds = [check_int(s, "seed", 0) for s in check_sequence(seeds, "seeds")]
+    if len(seeds) != len(scores):
         raise ValueError("need one integer seed per score matrix")
     if check_finite(tol, "tolerance") <= 0.0:
         raise ValueError("tolerance must be positive")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise ValueError("max_iter must be an integer of at least 1")
+    max_iter = check_int(max_iter, "max_iter", 1)
 
     n = len(seeds)
     k = _trace_preserving(np.array([_ginibre(np.random.default_rng(s)) for s in seeds]))
@@ -275,21 +274,18 @@ def optimize_batch(
             if not active.size:
                 break
 
-    results = []
-    for j, h in enumerate(history):
-        chi_star = best_k[j] @ best_k[j].conj().T
-        check_choi(chi_star)
-        results.append(
-            OptimizeResult(
-                chi_star=chi_star,
-                f_star=float(best_f[j]),
-                iterations=len(h) - 1,
-                # the loop's stop test, on the same doubles
-                converged=bool(abs(h[-1] - h[-2]) < tol),
-                fidelity_history=tuple(h),
-            )
+    chi_stars = check_choi(np.array([k @ k.conj().T for k in best_k]))
+    return [
+        OptimizeResult(
+            chi_star=chi_star,
+            f_star=f_star,
+            iterations=len(h) - 1,
+            # the loop's stop test, on the same doubles
+            converged=bool(abs(h[-1] - h[-2]) < tol),
+            fidelity_history=tuple(h),
         )
-    return results
+        for chi_star, f_star, h in zip(chi_stars, best_f.tolist(), history)
+    ]
 
 
 def optimize_map(

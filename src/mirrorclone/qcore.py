@@ -26,9 +26,35 @@ def check_finite(value, name: str):
     try:
         if math.isfinite(value):
             return value
-    except TypeError:  # not a real number
+    except (TypeError, OverflowError):  # not a real number, or an int past the float range
         pass
     raise ValueError(f"{name} {value!r} is not finite or not a real number")
+
+
+def check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """Returns ``value`` as an int if it is an integer from lo to hi and not a bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        check_finite(value, name)  # a non-real value gets check_finite's message
+    elif lo <= value <= hi:
+        return int(value)
+    span = f">= {lo}" if hi == math.inf else f"from {lo} to {hi}"
+    raise ValueError(f"{name} {value!r} is not an integer {span}")
+
+
+def check_polar(theta: float, phi: float = 0.0) -> float:
+    """Returns ``theta`` if it is a polar angle in [0, pi] and ``phi`` is finite, else ValueError."""
+    if not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
+        raise ValueError(f"polar angle {theta!r} outside [0, pi]")
+    check_finite(phi, "azimuth")
+    return theta
+
+
+def check_sequence(values, name: str) -> list:
+    """Returns ``values`` as a list if they can be iterated, else ValueError naming them."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} {values!r} are not a sequence") from None
 
 
 def ket_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -48,15 +74,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def check_qubits(qubits, n: int) -> list:
-    """Returns ``qubits`` as a list if they are distinct integers in 1..n, else ValueError."""
-    try:
-        qubits = list(qubits)
-    except TypeError:
-        raise ValueError(f"qubit indices {qubits!r} are not a sequence") from None
-    if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits):
-        raise ValueError(f"qubit indices {qubits!r} must be integers")
-    if len(set(qubits)) != len(qubits) or any(q < 1 or q > n for q in qubits):
-        raise ValueError(f"qubit indices {qubits!r} must be distinct integers in 1..{n}")
+    """Returns ``qubits`` as a list of ints if they are distinct integers in 1..n, else ValueError."""
+    qubits = [check_int(q, "qubit index", 1, n) for q in check_sequence(qubits, "qubit indices")]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubit indices {qubits!r} must be distinct")
     return qubits
 
 
@@ -83,11 +104,10 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
 
 def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     """Overlap <psi|rho|psi> of a unit-norm pure state with a finite density matrix."""
-    psi = np.asarray(psi)
+    psi = check_state(psi)
     rho = np.asarray(rho)
     if rho.shape != (psi.size, psi.size):
         raise ValueError("state and density matrix dimensions do not match")
-    check_state(psi)
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
     val = complex(psi.conj() @ rho @ psi)
@@ -112,17 +132,57 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 
 def haar_random_state(rng: np.random.Generator, n_qubits: int = 1) -> np.ndarray:
     """Haar-random pure state on ``n_qubits`` qubits, an integer from 1 to 3."""
-    if not (isinstance(n_qubits, numbers.Integral) and 1 <= n_qubits <= 3):
-        raise ValueError(f"n_qubits {n_qubits!r} is not an integer from 1 to 3")
-    dim = 2**n_qubits
+    dim = 2 ** check_int(n_qubits, "n_qubits", 1, 3)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
 
 
-def check_state(psi: np.ndarray) -> np.ndarray:
-    """Validate unit norm to ATOL; returns the input unchanged."""
+def check_state(psi: np.ndarray, size: int | None = None) -> np.ndarray:
+    """Returns ``psi`` as an array if it has unit norm to ATOL and, given ``size``, shape (size,)."""
     psi = np.asarray(psi)
+    if size is not None and psi.shape != (size,):
+        raise ValueError(f"state must be a vector of {size} amplitudes, not shape {psi.shape}")
     norm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return psi
+
+
+def check_choi(chi: np.ndarray) -> np.ndarray:
+    """Validate that chi is a completely positive trace-preserving process.
+
+    Checks that the entries are finite, Hermiticity to 1e-12, positivity
+    of the spectrum down to -1e-10, and that the partial trace over both
+    clones is the identity on the input to 1e-10.  Leading axes of chi
+    are a nonempty stack: every matrix in it must pass, and the worst is reported.
+    """
+    chi = np.asarray(chi)
+    if chi.shape[-2:] != (8, 8) or chi.size == 0:
+        raise ValueError("process matrix must be 8x8, or a nonempty stack of them")
+    if not np.isfinite(chi).all():
+        raise ValueError("process matrix has non-finite entries")
+    herm = float(np.abs(chi - chi.conj().swapaxes(-1, -2)).max())
+    if herm > 1e-12:
+        raise ValueError(f"process matrix not Hermitian: deviation {herm:.3e}")
+    low = float(np.linalg.eigvalsh(chi)[..., 0].min())
+    if low < -1e-10:
+        raise ValueError(f"process matrix has negative eigenvalue {low:.3e}")
+    defect = float(np.abs(partial_trace(chi, [1]) - np.eye(2)).max())
+    if defect > 1e-10:
+        raise ValueError(f"process matrix is not trace preserving: defect {defect:.3e}")
+    return chi
+
+
+def check_scores(scores) -> np.ndarray:
+    """A non-empty (N, 8, 8) stack of finite, Hermitian, PSD, nonzero scores, as complex."""
+    scores = np.asarray(scores, dtype=complex)
+    if scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
+        raise ValueError("score matrices must be 8x8, stacked as (N, 8, 8) with N >= 1")
+    if not np.isfinite(scores).all():
+        raise ValueError("score matrices must be finite")
+    scale = np.abs(scores).max(axis=(1, 2))
+    if (np.abs(scores - scores.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
+        raise ValueError("score matrices must be Hermitian, with no imaginary part (S - S^dagger)/2i")
+    if (np.linalg.eigvalsh(scores)[:, 0] < -1e-12 * scale).any() or not scale.all():
+        raise ValueError("score matrices must be positive semidefinite and nonzero")
+    return scores

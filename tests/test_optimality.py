@@ -86,7 +86,7 @@ def test_certificate_batch_equals_lone_certificates_bit_for_bit():
 
 def test_certificate_batch_edge_cases():
     assert certificate_batch([]) == []
-    for bad in ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"]):
+    for bad in ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"], 0.5, None):
         with pytest.raises(ValueError):
             certificate_batch(bad)
 
@@ -266,6 +266,10 @@ def test_optimize_map_validation():
         optimize_map(skew)
     with pytest.raises(ValueError):
         optimize_batch(np.stack([score, score]), seeds=[0])
+    with pytest.raises(ValueError):
+        optimize_batch(score[None], seeds=None)  # a scalar where the seed list goes
+    with pytest.raises(ValueError):
+        optimize_batch(score[None], seeds=0)
 
 
 def test_batch_runs_equal_their_lone_calls():

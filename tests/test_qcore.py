@@ -1,18 +1,28 @@
-"""Unit tests for the dense one-to-three-qubit register helpers."""
+"""Unit tests for the dense one-to-three-qubit register helpers and the input checks."""
 
+import ast
 import math
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorclone
+from mirrorclone.cli import main
+from mirrorclone.cloners import clone, mpcc_choi, uc_choi, uc_fidelity
+from mirrorclone.fidelity import PriorDistribution, average_fidelity, score_operator
+from mirrorclone.optimality import optimize_batch, optimize_map
 from mirrorclone.qcore import (
     ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     bloch_vector,
+    check_choi,
+    check_int,
     check_state,
     fidelity_pure,
     haar_random_state,
@@ -56,6 +66,8 @@ def test_ket_from_angles_rejects_nonfinite():
         ket_from_angles(math.nan, 0.0)
     with pytest.raises(ValueError):
         ket_from_angles(0.0, math.inf)
+    with pytest.raises(ValueError):
+        ket_from_angles(10**400, 0.0)  # past the float range, where math.isfinite overflows
 
 
 def same_bits(x, y):
@@ -190,3 +202,85 @@ def test_check_state():
     assert check_state(psi) is psi
     with pytest.raises(ValueError):
         check_state(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        check_state(np.ones(3) / 3**0.5, 2)  # unit norm, but not one qubit
+
+
+# --- the input checks every module shares --------------------------------------------
+
+_SCORE = score_operator(PriorDistribution.mirror(1.0))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (partial(haar_random_state, np.random.default_rng(5), True), "n_qubits"),
+        (partial(haar_random_state, np.random.default_rng(5), 2.0), "n_qubits"),
+        (partial(optimize_map, _SCORE, max_iter=True), "max_iter"),
+        (partial(optimize_map, _SCORE, max_iter=2.0), "max_iter"),
+        (partial(optimize_map, _SCORE, seed=True), "seed"),
+        (partial(optimize_map, _SCORE, seed=-1), "seed"),
+        (partial(optimize_batch, _SCORE[None], [1.0]), "seed"),
+        (partial(uc_fidelity, True), "number of copies"),
+        (partial(uc_fidelity, 2.0), "number of copies"),
+        (partial(partial_trace, np.eye(4), [True]), "qubit index"),
+        (partial(partial_trace, np.eye(4), [np.int64(3)]), "qubit index"),
+    ],
+    ids=lambda v: v.func.__name__ if isinstance(v, partial) else None,
+)
+def test_integer_inputs_reject_bools_floats_and_out_of_range(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--steps", "1"], "steps 1 is not an integer from 2 to"),
+        (["optimize", "--steps", "2", "--seeds", "0"], "seeds 0 is not an integer >= 1"),
+    ],
+)
+def test_integer_flags_exit_2_naming_the_flag(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_check_int_returns_python_ints():
+    assert type(check_int(np.int64(3), "n", 1, 3)) is int
+    assert check_int(10**400, "seed", 0) == 10**400  # an int past the float range is still an int
+    assert type(uc_fidelity(np.int64(2))) is float
+    assert uc_fidelity(np.int64(2)) == uc_fidelity(2)
+    with pytest.raises(ValueError, match=r"^n 0 is not an integer >= 1$"):
+        check_int(0, "n", 1)
+    with pytest.raises(ValueError, match=r"^n 4 is not an integer from 1 to 3$"):
+        check_int(4, "n", 1, 3)
+    for bad in ("2", None, math.nan, 1j):
+        with pytest.raises(ValueError, match="is not finite or not a real number"):
+            check_int(bad, "n", 1)
+
+
+def test_stacked_check_choi():
+    good = np.array([mpcc_choi(theta) for theta in (0.0, 0.4, 1.9)] + [uc_choi()])
+    assert check_choi(good) is good
+    for i in range(len(good)):
+        for defect in (np.eye(8) * 1e-3, -1e-3 * np.outer(np.eye(8)[3], np.eye(8)[3])):
+            bad = good.copy()
+            bad[i] += defect  # one slice off trace preservation or positivity
+            with pytest.raises(ValueError):
+                check_choi(bad)
+    with pytest.raises(ValueError):
+        check_choi(np.zeros((0, 8, 8)))
+    # the single-channel users still reject a stack that check_choi passes
+    with pytest.raises(ValueError):
+        clone(np.array([1.0, 0.0]), good)
+    with pytest.raises(ValueError):
+        average_fidelity(good, _SCORE)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = []
+    for path in sorted(Path(mirrorclone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mirrorclone")):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
