@@ -8,9 +8,6 @@ channel optimizer, and two three-qubit circuit realizations.
 from .qcore import (
     ID2,
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    bloch_vector,
     check_choi,
     fidelity_pure,
     haar_random_state,
@@ -30,7 +27,6 @@ from .cloners import (
     MpccParams,
     choi_from_weights,
     clone,
-    fidelity_for_amplitude,
     mpcc_choi,
     mpcc_clone_bloch,
     mpcc_fidelity,

@@ -60,9 +60,9 @@ class Gate:
             raise ValueError("gate qubits and params must be sequences") from None
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_qubits, n_params = GATE_ARITY[self.kind]
-        if len(self.qubits) != n_qubits:
-            raise ValueError(f"{self.kind} takes {n_qubits} qubit indices")
+        n_wires, n_params = GATE_ARITY[self.kind]
+        if len(self.qubits) != n_wires:
+            raise ValueError(f"{self.kind} takes {n_wires} qubit indices")
         if len(self.params) != n_params:
             raise ValueError(f"{self.kind} takes {n_params} parameters")
         check_qubits(self.qubits, 3)

@@ -56,19 +56,11 @@ class MpccParams:
         return 0.5 * (1.0 + self.a * c_sq + SQRT2 * self.lam * self.lam_bar * s_sq)
 
 
-def fidelity_for_amplitude(theta: float, lam: float) -> float:
-    """Mean clone fidelity of the mirror-symmetric isometry with amplitude lam.
-
-    F = (1 + lam^2)/2 - sin(theta)^2 * (lam^2 - lam*sqrt(2 - 2*lam^2)) / 2
-    """
-    check_polar(theta)
-    if not -1.0 <= check_finite(lam, "amplitude") <= 1.0:
-        raise ValueError("amplitude must lie in [-1, 1]")
-    return _amplitude_fidelity(math.sin(theta) ** 2, lam)
-
-
 def _amplitude_fidelity(s_sq: float, lam: float) -> float:
-    """fidelity_for_amplitude from s_sq = sin(theta)^2, unchecked."""
+    """Mean clone fidelity of the mirror-symmetric isometry with amplitude lam, unchecked.
+
+    F = (1 + lam^2)/2 - s_sq * (lam^2 - lam*sqrt(2 - 2*lam^2)) / 2, with s_sq = sin(theta)^2
+    """
     lam_bar_sq = max(1.0 - lam * lam, 0.0)
     return (1.0 + lam * lam) / 2.0 - 0.5 * s_sq * (lam * lam - lam * math.sqrt(2.0 * lam_bar_sq))
 

@@ -14,8 +14,6 @@ import numpy as np
 
 ID2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 # default tolerance for algebraic identities
 ATOL = 1e-12
@@ -116,24 +114,9 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     return val.real
 
 
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (Tr rho*X, Tr rho*Y, Tr rho*Z) of a one-qubit state."""
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("Bloch vector is defined for 2x2 density matrices")
-    return np.array(
-        [
-            np.trace(rho @ PAULI_X).real,
-            np.trace(rho @ PAULI_Y).real,
-            np.trace(rho @ PAULI_Z).real,
-        ]
-    )
-
-
-def haar_random_state(rng: np.random.Generator, n_qubits: int = 1) -> np.ndarray:
-    """Haar-random pure state on ``n_qubits`` qubits, an integer from 1 to 3."""
-    dim = 2 ** check_int(n_qubits, "n_qubits", 1, 3)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def haar_random_state(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state of one qubit."""
+    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return z / np.linalg.norm(z)
 
 

@@ -18,7 +18,6 @@ from mirrorclone.cloners import (
     check_choi,
     choi_from_weights,
     clone,
-    fidelity_for_amplitude,
     mpcc_choi,
     mpcc_clone_bloch,
     mpcc_fidelity,
@@ -41,9 +40,22 @@ from mirrorclone.circuits import (
 )
 from mirrorclone.fidelity import PriorDistribution, r_theta, score_operator
 from mirrorclone.optimality import certificate, optimize_map
-from mirrorclone.qcore import bloch_vector, fidelity_pure, haar_random_state, ket_from_angles, partial_trace
+from mirrorclone.qcore import fidelity_pure, haar_random_state, ket_from_angles, partial_trace
 
 GRID = np.linspace(0.0, math.pi, 61)
+
+
+def amplitude_fidelity(theta, lam):
+    """Clone fidelity of the mirror-symmetric isometry at amplitude lam: an oracle, not the library code.
+
+    F = (1 + lam^2)/2 - sin(theta)^2 (lam^2 - lam sqrt(2 - 2 lam^2))/2
+    """
+    return (1 + lam**2) / 2 - math.sin(theta) ** 2 * (lam**2 - lam * np.sqrt(2 - 2 * lam**2)) / 2
+
+
+def bloch(rho):
+    """Bloch vector (Tr rho X, Tr rho Y, Tr rho Z) of a one-qubit density matrix."""
+    return np.array([2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
 
 
 def isometry_choi(theta):
@@ -86,9 +98,8 @@ def test_amplitude_is_global_maximizer(theta):
     # brute-force oracle: scan the whole amplitude range
     pr = mpcc_params(theta)
     lams = np.linspace(-1.0, 1.0, 20001)
-    values = [fidelity_for_amplitude(theta, float(l)) for l in lams]
-    brute = max(values)
-    at_lam = fidelity_for_amplitude(theta, pr.lam)
+    brute = amplitude_fidelity(theta, lams).max()
+    at_lam = amplitude_fidelity(theta, pr.lam)
     assert brute <= at_lam + 1e-12  # nothing on the grid beats the closed form
     assert at_lam >= brute - 1e-7  # grid resolution bounds the other direction
 
@@ -113,9 +124,7 @@ def test_true_stationary_points_by_finite_difference(theta):
     h = 1e-6
 
     def slope(lam):
-        return (
-            fidelity_for_amplitude(theta, lam + h) - fidelity_for_amplitude(theta, lam - h)
-        ) / (2.0 * h)
+        return (amplitude_fidelity(theta, lam + h) - amplitude_fidelity(theta, lam - h)) / (2.0 * h)
 
     assert abs(slope(pr.candidates[0])) < 1e-7
     assert abs(slope(pr.candidates[3])) < 1e-7
@@ -134,13 +143,6 @@ def test_params_invariants():
         assert pr.candidates[0] == pr.lam
 
 
-def test_fidelity_for_amplitude_validation():
-    with pytest.raises(ValueError):
-        fidelity_for_amplitude(0.5, 1.5)
-    with pytest.raises(ValueError):
-        fidelity_for_amplitude(-0.1, 0.5)
-
-
 # --- fidelity closed form ---------------------------------------------------
 
 
@@ -153,11 +155,11 @@ def test_fidelity_pinned_values():
 
 
 def test_fidelity_two_algebraic_forms_agree():
-    # mpcc_fidelity and fidelity_for_amplitude use different groupings
+    # MpccParams.fidelity groups the terms by a = lam^2 and lam*lam_bar instead
     for theta in GRID:
         theta = float(theta)
         pr = mpcc_params(theta)
-        assert abs(mpcc_fidelity(theta) - fidelity_for_amplitude(theta, pr.lam)) < 1e-12
+        assert abs(mpcc_fidelity(theta) - amplitude_fidelity(theta, pr.lam)) < 1e-12
 
 
 def test_fidelity_mirror_symmetric():
@@ -201,7 +203,6 @@ def test_polar_angle_validation():
         partial(decompose_ccr, "x"),
         partial(optimize_map, score_operator(PriorDistribution.mirror(1.0)), tol="x"),
         partial(optimize_map, score_operator(PriorDistribution.mirror(1.0)), tol=None),
-        partial(fidelity_for_amplitude, 1.0, "x"),
         partial(uc_fidelity, "x"),
         partial(ket_from_angles, "a", 0.0),
         partial(Gate, "ROTY", (1,), ("x",)),
@@ -325,8 +326,8 @@ def test_clone_bloch_closed_form():
             psi = ket_from_angles(theta, phi)
             _, rho1, rho2 = clone(psi, mpcc_choi(theta))
             want = mpcc_clone_bloch(theta, phi)
-            assert np.abs(bloch_vector(rho1) - want).max() < 1e-12
-            assert np.abs(bloch_vector(rho2) - want).max() < 1e-12
+            assert np.abs(bloch(rho1) - want).max() < 1e-12
+            assert np.abs(bloch(rho2) - want).max() < 1e-12
 
 
 def test_clone_fidelity_is_phase_invariant():
@@ -389,7 +390,7 @@ def test_uc_channel_is_universal(rng):
         assert abs(fidelity_pure(psi, rho1) - 5.0 / 6.0) < 1e-12
         assert abs(fidelity_pure(psi, rho2) - 5.0 / 6.0) < 1e-12
         rho_in = np.outer(psi, psi.conj())
-        assert np.abs(bloch_vector(rho1) - (2.0 / 3.0) * bloch_vector(rho_in)).max() < 1e-12
+        assert np.abs(bloch(rho1) - (2.0 / 3.0) * bloch(rho_in)).max() < 1e-12
 
 
 def test_uc_clone_bloch_shrinks_input():
