@@ -195,12 +195,20 @@ def eqneighbor_hamiltonian(kappa: float) -> np.ndarray:
     return kappa * sum(_on(EXCHANGE, pair) for pair in ((1, 2), (1, 3), (2, 3)))
 
 
+@functools.cache
+def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigendecomposition of the kappa = 1 Hamiltonian H0, which every kappa shares: H = kappa H0."""
+    w, v = np.linalg.eigh(eqneighbor_hamiltonian(1.0))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
 def eqneighbor_propagator(t: float, kappa: float) -> np.ndarray:
     """exp(-iHt) of the exchange Hamiltonian by eigendecomposition; the phase 2*kappa*t must be finite."""
-    h = eqneighbor_hamiltonian(kappa)
+    check_finite(kappa, "coupling rate")
     check_finite(2.0 * kappa * check_finite(t, "evolution time"), "phase 2*kappa*t")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    w, v = _exchange_eigh()
+    return (v * np.exp(-1j * (kappa * w) * t)) @ v.conj().T
 
 
 def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:

@@ -10,6 +10,7 @@ optimize (numerical optimizer against the closed form).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .cloners import (
     uc_fidelity,
     mpcc_clone_bloch,
 )
-from .fidelity import PriorDistribution, score_operator
+from .fidelity import mirror_scores
 # optimize_map is unused here but stays bound: perfbench/selftest.py checks
 # that its tracer rebinds mirrorclone.cli.optimize_map
 from .optimality import certificate_batch, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
@@ -43,8 +44,13 @@ from .qcore import check_finite, check_int, check_polar, haar_random_state
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
 CERTIFY_TOL = 1e-10  # certify's bound on the fidelity-identity residual
 _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
-# grid caps: every row is built in a Python loop, and optimize holds all
-# (angle, start) runs at once, about 18 kB each
+# rows per C-encoder call of the JSON writer: any size from 50 to 500 keeps
+# the peak RSS of the benchmark's closed-form-checks (certify --steps 2001)
+# about 2 MB below one call for all rows, at the same speed
+_JSON_CHUNK = 500
+# grid caps: every subcommand holds one Python dict per row (sweep, bloch and
+# circuits build them in a Python loop), and optimize holds all (angle, start)
+# runs at once, about 18 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
@@ -77,33 +83,70 @@ def check_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _fmt_value(value) -> str:
+    if isinstance(value, float):  # most cells; a bool is never a float
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
     return str(value)
 
 
-def _flatten(row: dict) -> dict:
-    """CSV cells of a row: a tuple value becomes columns name_0, name_1, ..."""
-    flat = {}
-    for name, value in row.items():
-        if isinstance(value, tuple):
-            flat.update((f"{name}_{i}", v) for i, v in enumerate(value))
+def _flat_row(row: dict) -> tuple[tuple, list]:
+    """A row's shape, its keys and each value's tuple or list length (None for a scalar), and its cells."""
+    cells, sizes = [], []
+    for value in row.values():
+        if isinstance(value, (tuple, list)):
+            cells += value
+            sizes.append(len(value))
         else:
-            flat[name] = value
-    return flat
+            cells.append(value)
+            sizes.append(None)
+    return (tuple(row), tuple(sizes)), cells
+
+
+@functools.cache
+def _row_layout(shape: tuple) -> tuple[str, str]:
+    """CSV header and JSON %-template of a row shape.
+
+    A tuple value becomes the CSV columns name_0, name_1, ...; the template
+    lays the row out as json.dumps(rows, indent=2) does.
+    """
+    names, items = [], []
+    for key, size in zip(*shape):
+        if not isinstance(key, str):
+            raise TypeError(f"row key {key!r} is not a string")
+        names += [key] if size is None else [f"{key}_{i}" for i in range(size)]
+        value = "%s" if size is None else "[\n" + ",\n".join(["      %s"] * size) + "\n    ]" if size else "[]"
+        items.append(f"    {json.dumps(key).replace('%', '%%')}: {value}")
+    return ",".join(names), "  {\n" + ",\n".join(items) + "\n  }" if items else "  {}"
+
+
+def _json_text(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2), the cells of each chunk of rows encoded by one C-encoder call.
+
+    ensure_ascii escapes a newline inside a string, so the newlines that join
+    the encoded cells split them apart again.  A value that is neither a
+    scalar nor a flat tuple or list of scalars raises TypeError.
+    """
+    parts = []
+    for start in range(0, len(rows), _JSON_CHUNK):
+        shapes, cells = zip(*map(_flat_row, rows[start : start + _JSON_CHUNK]))
+        body = json.dumps([cell for row in cells for cell in row], separators=("\n", ":"))[1:-1]
+        # an encoded container opens with a bracket, and only a container cell can
+        if body.startswith(("[", "{")) or "\n[" in body or "\n{" in body:
+            raise TypeError("a row value is neither a scalar nor a flat tuple or list of scalars")
+        template = ",\n".join(_row_layout(shape)[1] for shape in shapes)
+        parts.append(template % tuple(body.split("\n") if body else ()))
+    return "[\n" + ",\n".join(parts) + "\n]" if parts else "[]"
 
 
 def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
     """Write rows to stdout or args.output; CSV columns follow the row keys."""
     if args.format == "csv":
-        flat = [_flatten(row) for row in rows]
-        lines = [",".join(flat[0])]
-        lines += [",".join(_fmt_value(v) for v in row.values()) for row in flat]
+        shapes, cells = zip(*map(_flat_row, rows))
+        lines = [_row_layout(shapes[0])[0], *(",".join(map(_fmt_value, row)) for row in cells)]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = _json_text(rows) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -164,19 +207,12 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    rows = []
-    failures = []
-    for cert in certificate_batch([float(theta) for theta in check_grid(args)]):
-        ok = cert.psd_ok and cert.saturation_ok and cert.fidelity_identity_residual <= CERTIFY_TOL
-        if not ok:
-            failures.append(cert.theta)
-        rows.append(vars(cert))
-    _write_rows(rows, args)
-    if failures:
-        print(
-            "certificate failed at theta: " + ", ".join(f"{t:.17g}" for t in failures),
-            file=sys.stderr,
-        )
+    certs = certificate_batch([float(theta) for theta in check_grid(args)])
+    _write_rows([vars(cert) for cert in certs], args)
+    ok = [c.psd_ok and c.saturation_ok and c.fidelity_identity_residual <= CERTIFY_TOL for c in certs]
+    if not all(ok):
+        failed = (f"{c.theta:.17g}" for c, good in zip(certs, ok) if not good)
+        print("certificate failed at theta: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
 
@@ -193,20 +229,15 @@ def cmd_circuits(args: argparse.Namespace) -> int:
             circ = build(theta)
             built.append((name, circuit_matrix(circ)))
             if args.dump is not None:
-                dump_chunks.append(
-                    f"# theta {theta:.17g} variant {name}\n" + serialize_circuit(circ)
-                )
-        for idx in range(_INPUTS_PER_ANGLE):
-            psi_in = haar_random_state(rng)
-            target = mpcc_isometry_apply(theta, psi_in)
-            start = np.zeros(8, dtype=np.complex128)
-            start[0], start[4] = psi_in[0], psi_in[1]  # |q 0 0>
+                dump_chunks.append(f"# theta {theta:.17g} variant {name}\n" + serialize_circuit(circ))
+        inputs = np.array([haar_random_state(rng) for _ in range(_INPUTS_PER_ANGLE)])
+        starts = np.zeros((_INPUTS_PER_ANGLE, 8), dtype=np.complex128)
+        starts[:, [0, 4]] = inputs  # |q 0 0>
+        for idx, (start, target) in enumerate(zip(starts, mpcc_isometry_apply(theta, inputs))):
             for name, matrix in built:
                 equal, residual = equal_up_to_global_phase(matrix @ start, target)
                 ok = ok and equal
-                rows.append(
-                    {"theta": theta, "variant": name, "input": idx, "residual": residual}
-                )
+                rows.append({"theta": theta, "variant": name, "input": idx, "residual": residual})
     if args.dump is None:
         _write_rows(rows, args)
     else:
@@ -223,9 +254,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.steps * seeds > MAX_OPTIMIZE_RUNS:
         raise ValueError(f"steps x seeds must be at most {MAX_OPTIMIZE_RUNS}")
     grid = [float(theta) for theta in check_grid(args)]
-    scores = [score_operator(PriorDistribution.mirror(theta)) for theta in grid]
     results = optimize_batch(
-        np.repeat(scores, seeds, axis=0),
+        np.repeat(mirror_scores(grid), seeds, axis=0),
         [args.seed + offset for _ in grid for offset in range(seeds)],
         tol=1e-11,
     )

@@ -135,18 +135,20 @@ def uc_choi() -> np.ndarray:
 
 
 def mpcc_isometry_apply(theta: float, psi: np.ndarray) -> np.ndarray:
-    """Apply the mirror-machine isometry to a single-qubit state.
+    """Apply the mirror-machine isometry to a single-qubit state, or to each of an (N, 2) stack.
 
     Output register order is (clone 1, clone 2, ancilla):
       |0>  ->  lam |000> + lam_bar (|011> + |101|)/sqrt(2)
       |1>  ->  lam |111> + lam_bar (|010> + |100|)/sqrt(2)
     """
-    psi = check_state(psi, 2)
+    psi = np.asarray(psi)
+    for state in psi if psi.ndim == 2 else (psi,):
+        check_state(state, 2)
     pr = mpcc_params(theta)
     h = pr.lam_bar / SQRT2
     image0 = np.array([pr.lam, 0, 0, h, 0, h, 0, 0], dtype=np.complex128)
     image1 = np.array([0, 0, h, 0, h, 0, 0, pr.lam], dtype=np.complex128)
-    return psi[0] * image0 + psi[1] * image1
+    return psi[..., :1] * image0 + psi[..., 1:] * image1
 
 
 def clone(psi: np.ndarray, chi: np.ndarray):

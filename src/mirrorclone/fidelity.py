@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import FIDELITY_MINIMUM_ANGLE, clone
-from .qcore import ID2, check_choi, check_finite, check_polar, check_scores
+from .qcore import ID2, check_choi, check_finite, check_polar, check_scores, check_sequence
 from .qcore import fidelity_pure, ket_from_angles, kron
 
 _TWO_PI = 2.0 * math.pi
@@ -83,34 +83,44 @@ class PriorDistribution:
         return PriorDistribution.mirror(FIDELITY_MINIMUM_ANGLE)
 
 
+def _atom_scores(thetas) -> np.ndarray:
+    """r_theta of each of a sequence of checked polar angles, stacked (N, 8, 8)."""
+    trig = [(math.sin(t) ** 2, math.cos(t / 2) ** 2, math.sin(t / 2) ** 2) for t in thetas]
+    s1_sq, c2_sq, s2_sq = np.array(trig).reshape(-1, 3).T  # NumPy then rounds each * and / as Python does
+    r = np.zeros((len(s1_sq), 8, 8))
+    r[:, 0, 0] = c2_sq * c2_sq
+    r[:, 1, 1] = r[:, 2, 2] = c2_sq / 2.0
+    r[:, 3, 3] = r[:, 4, 4] = s1_sq / 4.0
+    r[:, 5, 5] = r[:, 6, 6] = s2_sq / 2.0
+    r[:, 7, 7] = s2_sq * s2_sq
+    coh = s1_sq / 8.0
+    for i, j in ((0, 5), (0, 6), (1, 7), (2, 7)):
+        r[:, i, j] = r[:, j, i] = coh
+    return r
+
+
 def r_theta(theta: float) -> np.ndarray:
     """Closed-form score operator of a single polar-angle atom.
 
     Indices run over (input, clone 1, clone 2) with the input qubit most
     significant.  The matrix is real symmetric with nonnegative diagonal.
     """
-    check_polar(theta)
-    s1_sq = math.sin(theta) ** 2
-    c2_sq = math.cos(theta / 2) ** 2
-    s2_sq = math.sin(theta / 2) ** 2
-    r = np.zeros((8, 8))
-    r[0, 0] = c2_sq * c2_sq
-    r[1, 1] = r[2, 2] = c2_sq / 2.0
-    r[3, 3] = r[4, 4] = s1_sq / 4.0
-    r[5, 5] = r[6, 6] = s2_sq / 2.0
-    r[7, 7] = s2_sq * s2_sq
-    coh = s1_sq / 8.0
-    for i, j in ((0, 5), (0, 6), (1, 7), (2, 7)):
-        r[i, j] = r[j, i] = coh
-    return r
+    return _atom_scores([check_polar(theta)])[0]
 
 
 def score_operator(prior: PriorDistribution) -> np.ndarray:
     """Score operator of a prior, assembled from the closed-form atoms."""
     out = np.zeros((8, 8))
-    for angle, weight in prior.atoms:
-        out += weight * r_theta(angle)
+    angles, weights = zip(*prior.atoms)
+    for weight, r in zip(weights, _atom_scores(angles)):
+        out += weight * r
     return out
+
+
+def mirror_scores(thetas) -> np.ndarray:
+    """score_operator(PriorDistribution.mirror(theta)) of each polar angle, bit for bit, stacked (N, 8, 8)."""
+    thetas = [check_polar(t) for t in check_sequence(thetas, "polar angles")]
+    return 0.5 * _atom_scores(thetas) + 0.5 * _atom_scores([math.pi - t for t in thetas])
 
 
 def _prior_average(prior: PriorDistribution, fn):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import choi_from_weights, mpcc_choi, mpcc_params
-from .fidelity import PriorDistribution, score_operator
+from .fidelity import mirror_scores
 from .qcore import check_choi, check_finite, check_int, check_scores, check_sequence, kron, partial_trace
 
 PSD_TOL = 1e-10
@@ -75,12 +75,12 @@ def certificate_batch(thetas) -> list[OptimalityCertificate]:
     params = [mpcc_params(theta) for theta in check_sequence(thetas, "polar angles")]
     if not params:
         return []
-    score = np.empty((len(params), 8, 8), dtype=np.complex128)  # complex: no cast in score @ chi
-    for i, pr in enumerate(params):
-        score[i] = score_operator(PriorDistribution.mirror(pr.theta))
-    weights = np.array([(pr.a, pr.b, pr.c) for pr in params]).T
+    thetas = [pr.theta for pr in params]
+    score = mirror_scores(thetas).astype(np.complex128)  # complex: no cast in score @ chi
+    per_angle = [(p.a, p.b, p.c, p.fidelity, math.sin(p.theta) ** 2, math.cos(p.theta) ** 2) for p in params]
+    a, b, c, f, s1_sq, cos_sq = np.array(per_angle).T  # the closed forms, sines and cosines, by math
 
-    lam_op = partial_trace(score @ choi_from_weights(*weights), [1])
+    lam_op = partial_trace(score @ choi_from_weights(a, b, c), [1])
     traces = np.trace(lam_op, axis1=1, axis2=2).real
     proportionality = np.abs(lam_op - (traces / 2.0)[:, None, None] * np.eye(2)).max(axis=(1, 2))
     delta = kron(lam_op, _EYE4) - score
@@ -88,39 +88,21 @@ def certificate_batch(thetas) -> list[OptimalityCertificate]:
     delta /= 2.0
     spectra = np.linalg.eigvalsh(delta)
 
-    out = []
-    corners = score[:, [0, 1, 0], [0, 1, 5]].real.tolist()  # R[0,0], R[1,1], R[0,5] of each angle
-    rows = zip(params, traces.tolist(), proportionality.tolist(), spectra.tolist(), corners)
-    for pr, trace, prop, spectrum, (r00, r11, r05) in rows:
-        f = pr.fidelity
-        lambda_scalar = trace / 2.0
-        trace_gap = trace - f
-        s1_sq = math.sin(pr.theta) ** 2
-        rbar = math.hypot(r00 - r11, math.sqrt(8.0) * r05)
-        d1 = 0.5 * (f - 0.5)
-        d2 = 0.5 * (f - s1_sq / 2.0)
-        d3 = 0.5 * (f - r00 - r11 + rbar)
-        d4 = 0.5 * (f - r00 - r11 - rbar)
-        closed = sorted((d1, d1, d2, d2, d3, d3, d4, d4))
-        cos_sq = math.cos(pr.theta) ** 2
-        weights_form = ((1.0 + cos_sq) * pr.a + 2.0 * pr.b + 2.0 * s1_sq * pr.c) / 4.0
-        out.append(
-            OptimalityCertificate(
-                theta=pr.theta,
-                lambda_scalar=lambda_scalar,
-                trace_gap=trace_gap,
-                delta_spectrum=tuple(spectrum),
-                delta_closed_form=(d1, d2, d3, d4),
-                fidelity_identity_residual=abs(f - r00 - r11 - rbar),
-                spectrum_residual=max(abs(s - c) for s, c in zip(spectrum, closed)),
-                proportionality=prop,
-                weights_form_residual=abs(lambda_scalar - weights_form),
-                half_fidelity_residual=abs(lambda_scalar - f / 2.0),
-                psd_ok=bool(spectrum[0] >= -PSD_TOL),
-                saturation_ok=bool(abs(trace_gap) <= SATURATION_TOL),
-            )
-        )
-    return out
+    # the per-angle scalars as columns: NumPy's +, -, *, / and abs round as Python's do
+    r00, r11, r05 = score[:, [0, 1, 0], [0, 1, 5]].real.T
+    rbar = np.array(list(map(math.hypot, (r00 - r11).tolist(), (math.sqrt(8.0) * r05).tolist())))
+    lambda_scalar, trace_gap = traces / 2.0, traces - f
+    d = [0.5 * (f - 0.5), 0.5 * (f - s1_sq / 2.0), 0.5 * (f - r00 - r11 + rbar), 0.5 * (f - r00 - r11 - rbar)]
+    closed = np.stack(d, axis=1)
+    weights_form = ((1.0 + cos_sq) * a + 2.0 * b + 2.0 * s1_sq * c) / 4.0
+    columns = (
+        lambda_scalar, trace_gap, np.abs(f - r00 - r11 - rbar),
+        np.abs(spectra - np.sort(np.repeat(closed, 2, axis=1), axis=1)).max(axis=1), proportionality,
+        np.abs(lambda_scalar - weights_form), np.abs(lambda_scalar - f / 2.0),
+        spectra[:, 0] >= -PSD_TOL, np.abs(trace_gap) <= SATURATION_TOL,
+    )  # in OptimalityCertificate's field order, between theta and the two spectra
+    fields = [col.tolist() for col in columns] + [map(tuple, spectra.tolist()), map(tuple, closed.tolist())]
+    return [OptimalityCertificate(*row) for row in zip(thetas, *fields)]
 
 
 def certificate(theta: float) -> OptimalityCertificate:

@@ -360,6 +360,17 @@ def test_propagator_closed_form_amplitudes(rng):
                     assert abs(u[i, j] - want) < 1e-10, (t, kappa, i, j)
 
 
+def test_propagator_shares_one_eigendecomposition_across_couplings():
+    # H = kappa H0: at kappa = 1 the propagator is bit for bit the eigendecomposition of H
+    # itself, and at any other kappa it agrees with that route to rounding
+    for t in (0.0, 0.37, 1.7, 4.1):
+        w, v = np.linalg.eigh(eqneighbor_hamiltonian(1.0))
+        assert eqneighbor_propagator(t, 1.0).tobytes() == ((v * np.exp(-1j * w * t)) @ v.conj().T).tobytes()
+        for kappa in (0.3, 2.5, -1.1):
+            w, v = np.linalg.eigh(eqneighbor_hamiltonian(kappa))
+            assert np.abs(eqneighbor_propagator(t, kappa) - (v * np.exp(-1j * w * t)) @ v.conj().T).max() < 1e-13
+
+
 def test_propagator_stationary_sectors():
     u = eqneighbor_propagator(1.7, 0.9)
     assert abs(u[0, 0] - 1.0) < 1e-12  # |000> has no exchange partner

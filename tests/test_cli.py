@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mirrorclone.cli as cli
 from mirrorclone.cli import MAX_OPTIMIZE_RUNS, MAX_STEPS, build_parser, check_grid, main, uniform_grid
@@ -155,6 +157,39 @@ def test_bloch_output_is_azimuth_covariant(tmp_path):
             assert abs(float(row0[key]) - float(row1[key])) < 1e-14, key
     with pytest.raises(SystemExit):
         main(["bloch", "--phi"])  # missing value
+
+
+# --- the JSON row writer --------------------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1.2345678901234567e-89]),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=10),
+    st.sampled_from([", ", "a\nb", "100%", '"', "%s %%", "\u00e9\u65e5\u672c\U0001f600", "\\"]),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4).map(tuple), st.lists(_SCALARS, max_size=4))
+_KEYS = st.one_of(st.text(max_size=10), st.sampled_from(["theta", "a, b", "%d%%", "line\nbreak", '"q"', "\u00e9"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.dictionaries(_KEYS, _VALUES, max_size=5), max_size=6), lead=st.integers(0, 6))
+@example(rows=[], lead=0)
+@example(rows=[{}], lead=0)
+@example(rows=[{"t": ()}, {"t": (1.5,)}, {"t": [None, True]}, {}], lead=2)
+def test_json_rows_are_the_bytes_of_json_dumps_with_indent_2(rows, lead):
+    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    # past one encoder chunk, the chunk boundary falling before drawn row `lead`
+    rows = [{"t": (-0.0,)}] * (cli._JSON_CHUNK - lead) + rows
+    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+
+
+@pytest.mark.parametrize("value", [[[1.0]], {"a": 1}, ({},), (1.0, []), [(2, 3)], {}])
+def test_json_rows_refuse_a_nested_container(value):
+    with pytest.raises(TypeError, match="flat tuple or list of scalars"):
+        cli._json_text([{"theta": 0.5}, {"theta": 0.5, "cell": value}])
 
 
 # --- certify ---------------------------------------------------------------------

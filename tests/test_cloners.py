@@ -320,6 +320,20 @@ def test_isometry_preserves_norm_and_validates(rng):
         mpcc_isometry_apply(1.0, np.array([math.nan, 0.0]))
 
 
+def test_isometry_on_a_stack_equals_the_lone_calls_bit_for_bit(rng):
+    states = np.array([haar_random_state(rng) for _ in range(5)])
+    for theta in (0.0, 0.7, FIDELITY_MINIMUM_ANGLE, math.pi):
+        out = mpcc_isometry_apply(theta, states)
+        assert out.shape == (5, 8)
+        for psi, row in zip(states, out):
+            assert row.tobytes() == mpcc_isometry_apply(theta, psi).tobytes()
+    bad = states.copy()
+    bad[3] *= 1.5  # one row off the unit sphere
+    for stack in (bad, np.ones((2, 3)) / math.sqrt(3.0), states[None]):
+        with pytest.raises(ValueError):
+            mpcc_isometry_apply(1.0, stack)
+
+
 def test_clone_bloch_closed_form():
     for theta in (0.0, 0.6, math.pi / 2, 2.2):
         for phi in (0.0, 1.1, -2.0):

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_choi, mpcc_fidelity, uc_choi
@@ -18,6 +18,7 @@ from mirrorclone.fidelity import (
     PriorDistribution,
     average_fidelity,
     average_fidelity_direct,
+    mirror_scores,
     r_theta,
     score_operator,
     score_operator_quadrature,
@@ -101,6 +102,39 @@ def test_mirror_score_is_atom_average():
         want = 0.5 * (r_theta(theta) + r_theta(math.pi - theta))
         got = score_operator(PriorDistribution.mirror(theta))
         assert np.abs(got - want).max() < 1e-15
+
+
+def _r_theta_reference(theta):
+    """r_theta written out for one angle, entry by entry: the oracle for the stacked form."""
+    s1_sq = math.sin(theta) ** 2
+    c2_sq = math.cos(theta / 2) ** 2
+    s2_sq = math.sin(theta / 2) ** 2
+    r = np.zeros((8, 8))
+    r[0, 0] = c2_sq * c2_sq
+    r[1, 1] = r[2, 2] = c2_sq / 2.0
+    r[3, 3] = r[4, 4] = s1_sq / 4.0
+    r[5, 5] = r[6, 6] = s2_sq / 2.0
+    r[7, 7] = s2_sq * s2_sq
+    for i, j in ((0, 5), (0, 6), (1, 7), (2, 7)):
+        r[i, j] = r[j, i] = s1_sq / 8.0
+    return r
+
+
+@settings(max_examples=50, deadline=None)
+@given(thetas=st.lists(st.floats(0.0, math.pi), max_size=12))
+@example(thetas=[0.0, math.pi, math.pi / 2, FIDELITY_MINIMUM_ANGLE, math.pi - FIDELITY_MINIMUM_ANGLE, 5e-324])
+def test_stacked_mirror_scores_equal_the_lone_score_operator_bit_for_bit(thetas):
+    stack = mirror_scores(thetas)
+    assert stack.shape == (len(thetas), 8, 8) and stack.dtype == np.float64
+    for theta, score in zip(thetas, stack):
+        assert score.tobytes() == score_operator(PriorDistribution.mirror(theta)).tobytes()
+        assert r_theta(theta).tobytes() == _r_theta_reference(theta).tobytes()
+
+
+def test_mirror_scores_reject_what_a_mirror_prior_rejects():
+    for bad in ([0.2, -0.1], [math.pi + 1e-9], [math.nan], ["x"], [1j], 0.5, None):
+        with pytest.raises(ValueError):
+            mirror_scores(bad)
 
 
 def test_phase_covariant_score_is_single_atom():

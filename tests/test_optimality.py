@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from mirrorclone.cloners import (
     FIDELITY_MINIMUM_ANGLE,
     check_choi,
+    choi_from_weights,
+    mpcc_params,
     mpcc_choi,
     mpcc_fidelity,
     pcc_fidelity,
@@ -17,6 +19,8 @@ from mirrorclone.cloners import (
 )
 from mirrorclone.fidelity import PriorDistribution, score_operator
 from mirrorclone.optimality import (
+    PSD_TOL,
+    SATURATION_TOL,
     OptimalityCertificate,
     certificate,
     certificate_batch,
@@ -25,7 +29,7 @@ from mirrorclone.optimality import (
     optimize_map,
     random_trace_preserving_choi,
 )
-from mirrorclone.qcore import partial_trace
+from mirrorclone.qcore import kron, partial_trace
 
 GRID = np.concatenate([np.linspace(0.0, math.pi, 41), [FIDELITY_MINIMUM_ANGLE]])
 
@@ -82,6 +86,75 @@ def test_certificate_batch_equals_lone_certificates_bit_for_bit():
         assert type(cert) is OptimalityCertificate
         assert _bits(cert) == _bits(certificate(theta))
         assert all(type(v) is float for v in cert.delta_spectrum + cert.delta_closed_form)
+
+
+def _reference_certificates(thetas):
+    """The certificate as first stacked: one score_operator per angle and the
+    per-angle scalars in a Python loop.  The oracle for certificate_batch."""
+    params = [mpcc_params(theta) for theta in thetas]
+    score = np.empty((len(params), 8, 8), dtype=np.complex128)
+    for i, pr in enumerate(params):
+        score[i] = score_operator(PriorDistribution.mirror(pr.theta))
+    weights = np.array([(pr.a, pr.b, pr.c) for pr in params]).T
+
+    lam_op = partial_trace(score @ choi_from_weights(*weights), [1])
+    traces = np.trace(lam_op, axis1=1, axis2=2).real
+    proportionality = np.abs(lam_op - (traces / 2.0)[:, None, None] * np.eye(2)).max(axis=(1, 2))
+    delta = kron(lam_op, np.eye(4)) - score
+    delta += delta.conj().swapaxes(1, 2)
+    delta /= 2.0
+    spectra = np.linalg.eigvalsh(delta)
+
+    out = []
+    corners = score[:, [0, 1, 0], [0, 1, 5]].real.tolist()
+    rows = zip(params, traces.tolist(), proportionality.tolist(), spectra.tolist(), corners)
+    for pr, trace, prop, spectrum, (r00, r11, r05) in rows:
+        f = pr.fidelity
+        lambda_scalar = trace / 2.0
+        trace_gap = trace - f
+        s1_sq = math.sin(pr.theta) ** 2
+        rbar = math.hypot(r00 - r11, math.sqrt(8.0) * r05)
+        d1 = 0.5 * (f - 0.5)
+        d2 = 0.5 * (f - s1_sq / 2.0)
+        d3 = 0.5 * (f - r00 - r11 + rbar)
+        d4 = 0.5 * (f - r00 - r11 - rbar)
+        closed = sorted((d1, d1, d2, d2, d3, d3, d4, d4))
+        cos_sq = math.cos(pr.theta) ** 2
+        weights_form = ((1.0 + cos_sq) * pr.a + 2.0 * pr.b + 2.0 * s1_sq * pr.c) / 4.0
+        out.append(
+            OptimalityCertificate(
+                theta=pr.theta,
+                lambda_scalar=lambda_scalar,
+                trace_gap=trace_gap,
+                delta_spectrum=tuple(spectrum),
+                delta_closed_form=(d1, d2, d3, d4),
+                fidelity_identity_residual=abs(f - r00 - r11 - rbar),
+                spectrum_residual=max(abs(s - c) for s, c in zip(spectrum, closed)),
+                proportionality=prop,
+                weights_form_residual=abs(lambda_scalar - weights_form),
+                half_fidelity_residual=abs(lambda_scalar - f / 2.0),
+                psd_ok=bool(spectrum[0] >= -PSD_TOL),
+                saturation_ok=bool(abs(trace_gap) <= SATURATION_TOL),
+            )
+        )
+    return out
+
+
+_LANDMARKS = [0.0, math.pi, math.pi / 2, FIDELITY_MINIMUM_ANGLE, math.pi - FIDELITY_MINIMUM_ANGLE]
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.lists(st.floats(0.0, math.pi), max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(extra=[], seed=0)
+@example(extra=[5e-324, math.nextafter(math.pi, 0.0), 1e-8, math.pi / 4], seed=1)
+def test_certificate_batch_equals_the_per_angle_loop_bit_for_bit(extra, seed):
+    grid = _LANDMARKS + extra
+    np.random.default_rng(seed).shuffle(grid)
+    got = certificate_batch(grid)
+    assert [_bits(cert) for cert in got] == [_bits(cert) for cert in _reference_certificates(grid)]
+    for cert in got:
+        assert all(type(v) is float for v in cert.delta_spectrum + cert.delta_closed_form)
+        assert type(cert.psd_ok) is bool and type(cert.saturation_ok) is bool
 
 
 def test_certificate_batch_edge_cases():
