@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloners import SQRT2, mpcc_params
-from .qcore import PAULI_X, check_finite, check_qubits, check_state, kron
+from .qcore import PAULI_X, check_finite, check_qubits, check_sequence, check_state, kron
 
 # reflection that conjugates a bit flip into a Hadamard: A X A = H, A A = id
 HADAMARD_CONJUGATOR = np.array(
@@ -85,51 +85,53 @@ class Circuit:
 
 
 def _on(u: np.ndarray, qubits) -> np.ndarray:
-    """8x8 matrix of the 2^k x 2^k ``u`` on ``qubits`` (in that order), identity on the rest."""
+    """8x8 matrix of the 2^k x 2^k ``u`` on ``qubits`` (in that order), identity elsewhere; ``u`` may stack."""
     order = [*qubits, *(q for q in (1, 2, 3) if q not in qubits)]
-    full = kron(u, np.eye(8 >> len(qubits))).reshape((2,) * 6)
-    axes = [order.index(q) for q in (1, 2, 3)]
-    return full.transpose(axes + [a + 3 for a in axes]).reshape(8, 8)
+    lead = u.shape[:-2]
+    full = kron(u, np.eye(8 >> len(qubits))).reshape(lead + (2,) * 6)
+    axes = [len(lead) + order.index(q) for q in (1, 2, 3)]
+    return full.transpose([*range(len(lead)), *axes, *(a + 3 for a in axes)]).reshape(lead + (8, 8))
 
 
 def _controlled(u: np.ndarray, n_controls: int, value: int = 1) -> np.ndarray:
-    """Block-diagonal: ``u`` on the last qubit when all n_controls controls read ``value``."""
-    out = np.eye(2 << n_controls, dtype=np.complex128)
-    k = value * (len(out) - 2)  # first index of the block whose controls all read value
-    out[k : k + 2, k : k + 2] = u
+    """Block-diagonal: ``u`` on the last qubit when all n_controls controls read ``value``; ``u`` may stack."""
+    out = np.tile(np.eye(2 << n_controls, dtype=np.complex128), u.shape[:-2] + (1, 1))
+    k = value * (out.shape[-1] - 2)  # first index of the block whose controls all read value
+    out[..., k : k + 2, k : k + 2] = u
     return out
 
 
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def _ry(angles) -> np.ndarray:
+    """(N, 2, 2) real y-rotations; cos and sin are taken per angle by math."""
+    c, s = np.array([(math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles]).T
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=np.complex128), -1, 0)
 
 
-def _rz(angle: float) -> np.ndarray:
-    return np.diag([cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)])
+def _rz(angles) -> np.ndarray:
+    """(N, 2, 2) phase rotations diag(e^{-ia/2}, e^{ia/2}); exp is taken per angle by cmath."""
+    u = np.zeros((len(angles), 2, 2), dtype=np.complex128)
+    u[:, [0, 1], [0, 1]] = [(cmath.exp(-0.5j * a), cmath.exp(0.5j * a)) for a in angles]
+    return u
 
 
-@functools.cache
-def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """Read-only 8x8 unitary of a NOT, CNOT or CH gate, built once per (kind, qubits) pair."""
-    m = _on(_controlled(PAULI_X, len(qubits) - 1), qubits)
+def _gate_stack(kind: str, qubits: tuple[int, ...], params) -> np.ndarray:
+    """Read-only (N, 8, 8) unitaries of one gate kind on ``qubits``, one per row of the (N, k) ``params``."""
+    if kind == "EVOLVE":
+        return eqneighbor_propagator(*np.transpose(params))
+    if kind in ("NOT", "CNOT", "CH"):  # one matrix serves every row
+        u = PAULI_X
+    else:  # ROTY, or a phase rotation for CR, CCR and CCR0
+        u = (_ry if kind == "ROTY" else _rz)([p[0] for p in params])
+    m = _on(_controlled(u, len(qubits) - 1, 0 if kind == "CCR0" else 1), qubits)
     if kind == "CH":
         conj = _on(HADAMARD_CONJUGATOR, qubits[1:])
         m = conj @ m @ conj
-    m.flags.writeable = False
-    return m
+    return np.broadcast_to(m, (len(params), 8, 8))
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """8x8 unitary of a gate on the three-qubit register."""
-    kind = gate.kind
-    if kind == "EVOLVE":
-        return eqneighbor_propagator(*gate.params)
-    if kind in ("NOT", "CNOT", "CH"):
-        return _fixed_gate(kind, gate.qubits).copy()
-    # ROTY, or a phase rotation for CR, CCR and CCR0
-    u = (_ry if kind == "ROTY" else _rz)(gate.params[0])
-    return _on(_controlled(u, len(gate.qubits) - 1, 0 if kind == "CCR0" else 1), gate.qubits)
+    """8x8 unitary of a gate on the three-qubit register, a fresh writable array."""
+    return _gate_stack(gate.kind, gate.qubits, [gate.params])[0].copy()
 
 
 def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:
@@ -203,12 +205,14 @@ def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eqneighbor_propagator(t: float, kappa: float) -> np.ndarray:
-    """exp(-iHt) of the exchange Hamiltonian by eigendecomposition; the phase 2*kappa*t must be finite."""
-    check_finite(kappa, "coupling rate")
-    check_finite(2.0 * kappa * check_finite(t, "evolution time"), "phase 2*kappa*t")
+def eqneighbor_propagator(t, kappa) -> np.ndarray:
+    """exp(-iHt) of the exchange Hamiltonian, a stack for arrays of t and kappa; 2*kappa*t must be finite."""
+    t, kappa = np.broadcast_arrays(t, kappa)
+    for t_i, kappa_i in zip(t.ravel().tolist(), kappa.ravel().tolist()):  # floats: overflow is inf, no warning
+        kt = 2.0 * check_finite(kappa_i, "coupling rate") * check_finite(t_i, "evolution time")
+        check_finite(kt, "phase 2*kappa*t")
     w, v = _exchange_eigh()
-    return (v * np.exp(-1j * (kappa * w) * t)) @ v.conj().T
+    return (v * np.exp(-1j * (kappa[..., None] * w) * t[..., None])[..., None, :]) @ v.conj().T
 
 
 def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:
@@ -261,23 +265,33 @@ def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:
     )
 
 
-def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Composed 8x8 unitary of a circuit."""
-    out = np.eye(8, dtype=np.complex128)
-    for gate in circuit.gates:
-        out = gate_matrix(gate) @ out
+def circuit_matrix_batch(circuits) -> np.ndarray:
+    """(N, 8, 8) unitaries of N >= 1 circuits of one layout, each gate position built as one stack."""
+    circuits = check_sequence(circuits, "circuits")
+    layouts = {tuple((g.kind, g.qubits) for g in c.gates) for c in circuits}
+    if len(layouts) != 1:
+        raise ValueError("need one or more circuits with the same gate kinds and qubits at each position")
+    out = np.tile(np.eye(8, dtype=np.complex128), (len(circuits), 1, 1))
+    for i, (kind, qubits) in enumerate(layouts.pop()):
+        out = _gate_stack(kind, qubits, [c.gates[i].params for c in circuits]) @ out
     return out
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray):
-    """Whether two unit vectors agree up to a global phase.
+def circuit_matrix(circuit: Circuit) -> np.ndarray:
+    """Composed 8x8 unitary of a circuit."""
+    return circuit_matrix_batch([circuit])[0]
 
-    Returns (equal, residual) with residual = 1 - |<a|b>|, equal when <= 1e-10.
+
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray):
+    """Whether two unit vectors, or two equal-shape stacks of them, agree up to a global phase.
+
+    Returns (equal, residual) over the stack axes, residual = 1 - |<a|b>|, equal when <= 1e-10.
     """
     a, b = check_state(a), check_state(b)
     if a.shape != b.shape:
         raise ValueError("states must have equal shape")
-    residual = 1.0 - abs(complex(np.vdot(a, b)))
+    overlap = np.vecdot(a, b)
+    residual = 1.0 - np.hypot(overlap.real, overlap.imag)  # np.abs can be one ulp off abs(complex)
     return residual <= 1e-10, residual
 
 

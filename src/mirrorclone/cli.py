@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .circuits import (
-    circuit_matrix,
+    circuit_matrix_batch,
     circuit_mpcc_v1,
     circuit_mpcc_v2,
     equal_up_to_global_phase,
@@ -48,9 +48,9 @@ _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # the peak RSS of the benchmark's closed-form-checks (certify --steps 2001)
 # about 2 MB below one call for all rows, at the same speed
 _JSON_CHUNK = 500
-# grid caps: every subcommand holds one Python dict per row (sweep, bloch and
-# circuits build them in a Python loop), and optimize holds all (angle, start)
-# runs at once, about 18 kB each
+# grid caps: every subcommand holds one Python dict per row, circuits also holds
+# (N, 8, 8) unitary stacks and its N circuits of one variant (about 210 MB at
+# 20,001 steps), and optimize holds all (angle, start) runs at once, about 18 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
@@ -218,26 +218,27 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    dump_chunks = []
-    ok = True
-    for theta in check_grid(args):
-        theta = float(theta)
-        built = []
-        for name, build in (("v1", circuit_mpcc_v1), ("v2", circuit_mpcc_v2)):
-            circ = build(theta)
-            built.append((name, circuit_matrix(circ)))
-            if args.dump is not None:
-                dump_chunks.append(f"# theta {theta:.17g} variant {name}\n" + serialize_circuit(circ))
-        inputs = np.array([haar_random_state(rng) for _ in range(_INPUTS_PER_ANGLE)])
-        starts = np.zeros((_INPUTS_PER_ANGLE, 8), dtype=np.complex128)
-        starts[:, [0, 4]] = inputs  # |q 0 0>
-        for idx, (start, target) in enumerate(zip(starts, mpcc_isometry_apply(theta, inputs))):
-            for name, matrix in built:
-                equal, residual = equal_up_to_global_phase(matrix @ start, target)
-                ok = ok and equal
-                rows.append({"theta": theta, "variant": name, "input": idx, "residual": residual})
+    grid = [float(theta) for theta in check_grid(args)]
+    inputs = haar_random_state(np.random.default_rng(args.seed), (len(grid), _INPUTS_PER_ANGLE))
+    starts = np.zeros((len(grid), _INPUTS_PER_ANGLE, 8), dtype=np.complex128)
+    starts[..., [0, 4]] = inputs  # |q 0 0>
+    targets = mpcc_isometry_apply(np.array(grid)[:, None], inputs)
+    residuals, dumps, ok = {}, [], True
+    for name, build in (("v1", circuit_mpcc_v1), ("v2", circuit_mpcc_v2)):
+        circuits = [build(theta) for theta in grid]
+        if args.dump is not None:
+            dumps.append([f"# theta {t:.17g} variant {name}\n" + serialize_circuit(c)
+                          for t, c in zip(grid, circuits)])
+        outputs = (circuit_matrix_batch(circuits)[:, None] @ starts[..., None])[..., 0]
+        equal, residuals[name] = equal_up_to_global_phase(outputs, targets)
+        ok = ok and bool(equal.all())
+    del circuits, inputs, starts, targets, outputs  # let go before the rows: about 40 MB at 20,001 steps
+    rows = [
+        {"theta": theta, "variant": name, "input": idx, "residual": residual}
+        for theta, per_angle in zip(grid, np.stack(list(residuals.values()), axis=-1).tolist())
+        for idx, per_input in enumerate(per_angle)
+        for name, residual in zip(residuals, per_input)
+    ]
     if args.dump is None:
         _write_rows(rows, args)
     else:
@@ -245,7 +246,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         # a bad --output leaves it empty
         with open(args.dump, "w", encoding="utf-8", newline="\n") as fh:
             _write_rows(rows, args)
-            fh.write("\n".join(dump_chunks))
+            fh.write("\n".join(chunk for per_angle in zip(*dumps) for chunk in per_angle))
     return 0 if ok else 1
 
 

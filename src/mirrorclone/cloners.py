@@ -134,20 +134,22 @@ def uc_choi() -> np.ndarray:
     return choi_from_weights(2.0 / 3.0, 1.0 / 6.0, 1.0 / 3.0)
 
 
-def mpcc_isometry_apply(theta: float, psi: np.ndarray) -> np.ndarray:
-    """Apply the mirror-machine isometry to a single-qubit state, or to each of an (N, 2) stack.
+def mpcc_isometry_apply(theta, psi: np.ndarray) -> np.ndarray:
+    """Apply the mirror-machine isometry to a single-qubit state, or to a stack of them.
 
-    Output register order is (clone 1, clone 2, ancilla):
+    One angle takes a state or an (M, 2) stack; an (N, 1) column of angles
+    takes an (N, M, 2) stack.  Output register order is (clone 1, clone 2, ancilla):
       |0>  ->  lam |000> + lam_bar (|011> + |101|)/sqrt(2)
       |1>  ->  lam |111> + lam_bar (|010> + |100|)/sqrt(2)
     """
-    psi = np.asarray(psi)
-    for state in psi if psi.ndim == 2 else (psi,):
-        check_state(state, 2)
-    pr = mpcc_params(theta)
-    h = pr.lam_bar / SQRT2
-    image0 = np.array([pr.lam, 0, 0, h, 0, h, 0, 0], dtype=np.complex128)
-    image1 = np.array([0, 0, h, 0, h, 0, 0, pr.lam], dtype=np.complex128)
+    psi = check_state(psi)
+    if psi.shape[-1:] != (2,) or psi.ndim > max(np.ndim(theta), 1) + 1:
+        raise ValueError(f"need one-qubit states, stacked no deeper than the angles, not shape {psi.shape}")
+    params = np.array([(pr.lam, pr.lam_bar / SQRT2) for pr in map(mpcc_params, np.ravel(theta).tolist())])
+    lam, h = params.T.reshape(2, *np.shape(theta))
+    o = np.zeros_like(lam)
+    image0 = np.stack([lam, o, o, h, o, h, o, o], axis=-1).astype(np.complex128)
+    image1 = np.stack([o, o, h, o, h, o, o, lam], axis=-1).astype(np.complex128)
     return psi[..., :1] * image0 + psi[..., 1:] * image1
 
 

@@ -104,7 +104,7 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     """Overlap <psi|rho|psi> of a unit-norm pure state with a finite density matrix."""
     psi = check_state(psi)
     rho = np.asarray(rho)
-    if rho.shape != (psi.size, psi.size):
+    if rho.shape != psi.shape * 2:  # one state: a stack never matches a matrix
         raise ValueError("state and density matrix dimensions do not match")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
@@ -114,20 +114,23 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     return val.real
 
 
-def haar_random_state(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state of one qubit."""
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return z / np.linalg.norm(z)
+def haar_random_state(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random one-qubit pure state, or a ``shape`` array of them, bit for bit consecutive lone calls."""
+    draws = rng.standard_normal((*shape, 2, 2))
+    re, im = draws[..., 0, :], draws[..., 1, :]
+    return (re + 1j * im) / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
 
 
 def check_state(psi: np.ndarray, size: int | None = None) -> np.ndarray:
-    """Returns ``psi`` as an array if it has unit norm to ATOL and, given ``size``, shape (size,)."""
+    """Returns ``psi`` as an array if each state, along its last axis, has unit norm to ATOL.
+
+    Given ``size``, ``psi`` must be one state of shape (size,)."""
     psi = np.asarray(psi)
     if size is not None and psi.shape != (size,):
         raise ValueError(f"state must be a vector of {size} amplitudes, not shape {psi.shape}")
-    norm = math.sqrt(np.vdot(psi, psi).real)
-    if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
-        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    deviation = np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0)
+    if not (deviation <= ATOL).all():  # also rejects a NaN norm
+        raise ValueError(f"state norm deviates from 1 by {deviation.max():.3e}")
     return psi
 
 

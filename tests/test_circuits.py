@@ -9,15 +9,21 @@ the simulated propagator.
 import cmath
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorclone.circuits import (
+    GATE_ARITY,
     HADAMARD_CONJUGATOR,
     Circuit,
     Gate,
+    _gate_stack,
     circuit_matrix,
+    circuit_matrix_batch,
     circuit_mpcc_v1,
     circuit_mpcc_v2,
     decompose_ccr,
@@ -178,6 +184,90 @@ def test_fixed_gate_matrix_is_a_fresh_copy(gate):
     again = gate_matrix(gate)
     assert again is not first and np.array_equal(again, reference_matrix(gate))
     assert again.flags.writeable
+
+
+# --- the lone route: every gate built and multiplied on its own ---------------
+
+
+def lone_gate_matrix(gate):
+    """A gate's 8x8 unitary built alone, with no stack axis: the bit-for-bit oracle of the stacks."""
+    kind, qubits, params = gate.kind, gate.qubits, gate.params
+    if kind == "EVOLVE":
+        w, v = np.linalg.eigh(eqneighbor_hamiltonian(1.0))
+        return (v * np.exp(-1j * (params[1] * w) * params[0])) @ v.conj().T
+
+    def on(u, wires):
+        order = [*wires, *(q for q in (1, 2, 3) if q not in wires)]
+        axes = [order.index(q) for q in (1, 2, 3)]
+        full = np.kron(u, np.eye(8 >> len(wires))).reshape((2,) * 6)
+        return full.transpose(axes + [a + 3 for a in axes]).reshape(8, 8)
+
+    if kind == "ROTY":
+        c, s = math.cos(params[0] / 2.0), math.sin(params[0] / 2.0)
+        u = np.array([[c, -s], [s, c]], dtype=np.complex128)
+    elif kind in ("NOT", "CNOT", "CH"):
+        u = X
+    else:
+        u = np.diag([cmath.exp(-0.5j * params[0]), cmath.exp(0.5j * params[0])])
+    block = np.eye(2 << (len(qubits) - 1), dtype=np.complex128)
+    k = (0 if kind == "CCR0" else 1) * (len(block) - 2)
+    block[k : k + 2, k : k + 2] = u
+    m = on(block, qubits)
+    if kind == "CH":
+        conj = on(HADAMARD_CONJUGATOR, qubits[1:])
+        m = conj @ m @ conj
+    return m
+
+
+def lone_circuit_matrix(circuit):
+    m = np.eye(8, dtype=np.complex128)
+    for gate in circuit.gates:
+        m = lone_gate_matrix(gate) @ m
+    return m
+
+
+PLACEMENTS = [("ROTY", (2,)), ("NOT", (3,)), ("CNOT", (1, 3)), ("CH", (3, 2)), ("CR", (2, 3))]
+PLACEMENTS += [("CCR", (1, 2, 3)), ("CCR0", (1, 2, 3)), ("EVOLVE", (1, 2, 3))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=st.lists(st.floats(-10.0, 10.0), max_size=6),
+    kappas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+)
+def test_gate_stacks_equal_the_lone_builder_bit_for_bit(drawn, kappas):
+    column = [0.0, math.pi, -math.pi, *drawn]  # EVOLVE pairs each time with a coupling rate
+    for kind, qubits in PLACEMENTS:
+        params = [(a, kappas[i % len(kappas)])[: GATE_ARITY[kind][1]] for i, a in enumerate(column)]
+        stack = _gate_stack(kind, qubits, params)
+        assert stack.shape == (len(column), 8, 8)
+        for row, p in zip(stack, params):
+            gate = Gate(kind, qubits, p)
+            assert row.tobytes() == gate_matrix(gate).tobytes() == lone_gate_matrix(gate).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(extra=st.lists(st.floats(0.0, math.pi), max_size=8), kappa=st.floats(0.2, 3.0))
+def test_circuit_batches_equal_the_lone_route_bit_for_bit(extra, kappa):
+    grid = [0.0, math.pi / 2, math.pi, FIDELITY_MINIMUM_ANGLE, math.pi - FIDELITY_MINIMUM_ANGLE, *extra]
+    for build in (circuit_mpcc_v1, partial(circuit_mpcc_v2, kappa=kappa)):
+        circuits = [build(theta) for theta in grid]
+        stack = circuit_matrix_batch(circuits)
+        assert stack.shape == (len(grid), 8, 8)
+        for row, circ in zip(stack, circuits):
+            assert row.tobytes() == circuit_matrix(circ).tobytes() == lone_circuit_matrix(circ).tobytes()
+
+
+def test_circuit_batch_needs_one_shared_layout():
+    for circuits in (
+        [circuit_mpcc_v1(1.0), circuit_mpcc_v2(1.0)],  # other gate kinds
+        [Circuit([Gate("NOT", (1,))]), Circuit([Gate("NOT", (2,))])],  # the same kind on other qubits
+        [Circuit([Gate("NOT", (1,))]), Circuit()],  # other lengths
+        [],
+    ):
+        with pytest.raises(ValueError):
+            circuit_matrix_batch(circuits)
+    assert np.array_equal(circuit_matrix_batch([Circuit(), Circuit()]), np.tile(np.eye(8), (2, 1, 1)))
 
 
 def test_hamiltonian_matches_ordered_pair_sum():
@@ -466,6 +556,30 @@ def test_equal_up_to_global_phase():
         equal_up_to_global_phase(basis(0), 2.0 * basis(0))
     with pytest.raises(ValueError):
         equal_up_to_global_phase(np.array([math.nan, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_stacked_residuals_equal_the_lone_calls_bit_for_bit(rng):
+    a = rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b = np.exp(1j * rng.uniform(0.0, 6.0, (40, 1))) * a
+    b[::2] = a[1::2]  # half the pairs unequal
+    b[::3] += 1e-9 * rng.standard_normal((14, 8))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    # |z| rounds to 1.0 by abs(complex) and np.hypot, and one ulp above by np.abs's SIMD loop
+    pinned = -0.0027615004177640734 + 0.9999961870504521j
+    a[-1], b[-1] = basis(0), pinned * basis(0)
+    equal, residual = equal_up_to_global_phase(a, b)
+    assert equal.shape == residual.shape == (40,)
+    for x, y, flag, got in zip(a, b, equal, residual):
+        assert got.tobytes() == np.float64(1.0 - abs(complex(np.vdot(x, y)))).tobytes()
+        assert (flag, got) == equal_up_to_global_phase(x, y) and flag == (got <= 1e-10)
+    assert abs(pinned) == 1.0 and residual[-1] == 0.0 and equal[-1]
+    assert not equal[::2].any() and equal[1::2].all()
+    with pytest.raises(ValueError, match="equal shape"):
+        equal_up_to_global_phase(a, b[:-1])
+    b[7] *= 1.0 + 1e-9  # one state off the unit sphere
+    with pytest.raises(ValueError, match="norm"):
+        equal_up_to_global_phase(a, b)
 
 
 def test_serialize_parse_round_trip():

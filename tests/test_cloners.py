@@ -334,6 +334,20 @@ def test_isometry_on_a_stack_equals_the_lone_calls_bit_for_bit(rng):
             mpcc_isometry_apply(1.0, stack)
 
 
+def test_isometry_on_a_column_of_angles_equals_the_lone_calls_bit_for_bit(rng):
+    grid = np.array([0.0, 0.7, FIDELITY_MINIMUM_ANGLE, math.pi / 2, math.pi - FIDELITY_MINIMUM_ANGLE, math.pi])
+    states = haar_random_state(rng, (len(grid), 3))
+    out = mpcc_isometry_apply(grid[:, None], states)  # three states per angle
+    assert out.shape == (6, 3, 8)
+    for theta, per_angle, rows in zip(grid, states, out):
+        for psi, row in zip(per_angle, rows):
+            assert row.tobytes() == mpcc_isometry_apply(float(theta), psi).tobytes()
+    with pytest.raises(ValueError):
+        mpcc_isometry_apply(grid[:, None], states[None])  # one stack axis more than the angles have
+    with pytest.raises(ValueError):
+        mpcc_isometry_apply(np.array([[0.5], [4.0]]), states[:2])  # an angle outside [0, pi]
+
+
 def test_clone_bloch_closed_form():
     for theta in (0.0, 0.6, math.pi / 2, 2.2):
         for phi in (0.0, 1.1, -2.0):

@@ -180,10 +180,21 @@ def test_haar_random_state_basics():
     assert a.shape == (2,)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
     assert np.array_equal(a, b)  # seeded draws are reproducible
-    # two draws of two normals, real parts first: the circuits rows depend on this order
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert np.array_equal(a, z / np.linalg.norm(z))
+    # two draws of two normals, real parts first, divided by np.linalg.norm: the
+    # circuits rows depend on this order and on these bits
+    rng, again = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3000):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        assert haar_random_state(again).tobytes() == (z / np.linalg.norm(z)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (4, 5)])
+def test_stacked_haar_draws_are_consecutive_lone_draws_bit_for_bit(shape):
+    stacked = haar_random_state(np.random.default_rng(11), shape)
+    rng = np.random.default_rng(11)
+    lone = [haar_random_state(rng) for _ in range(math.prod(shape))]
+    assert stacked.shape == (*shape, 2)
+    assert stacked.tobytes() == np.array(lone).tobytes()
 
 
 def test_check_state():
@@ -193,6 +204,17 @@ def test_check_state():
         check_state(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         check_state(np.ones(3) / 3**0.5, 2)  # unit norm, but not one qubit
+    stack = np.array([[[1.0, 0.0], [0.0, 1j]], [[0.6, 0.8j], [-0.8, 0.6]]])
+    assert check_state(stack) is stack  # leading axes are a stack
+    bad = stack.copy()
+    bad[1, 0] *= 1.5  # one row off the unit sphere
+    for psi in (bad, np.full((2, 2), math.nan)):
+        with pytest.raises(ValueError, match="norm"):
+            check_state(psi)
+    with pytest.raises(ValueError, match="vector of 2"):
+        check_state(stack[0], 2)  # given a size, one state only
+    with pytest.raises(ValueError, match="dimensions"):
+        fidelity_pure(stack[0], np.eye(2) / 2)  # a stack is not one state
 
 
 # --- the input checks every module shares --------------------------------------------
