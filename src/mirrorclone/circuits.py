@@ -79,7 +79,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", tuple(check_sequence(self.gates, "circuit gates")))
         if not all(isinstance(g, Gate) for g in self.gates):
             raise ValueError("circuit entries must be Gate instances")
 

@@ -10,7 +10,6 @@ optimize (numerical optimizer against the closed form).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -44,9 +43,8 @@ from .qcore import check_finite, check_int, check_polar, haar_random_state
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
 CERTIFY_TOL = 1e-10  # certify's bound on the fidelity-identity residual
 _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
-# rows per C-encoder call of the JSON writer: any size from 50 to 500 keeps
-# the peak RSS of the benchmark's closed-form-checks (certify --steps 2001)
-# about 2 MB below one call for all rows, at the same speed
+# rows per C-encoder call of the JSON writer: at certify --steps 100001, 500 peaks at 469 MB RSS
+# against 528 MB for one call, at the same speed; closed-form-checks peaks at 52-54 MB either way
 _JSON_CHUNK = 500
 # grid caps: every subcommand holds one Python dict per row, circuits also holds
 # (N, 8, 8) unitary stacks and its N circuits of one variant (about 210 MB at
@@ -90,61 +88,51 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _flat_row(row: dict) -> tuple[tuple, list]:
-    """A row's shape, its keys and each value's tuple or list length (None for a scalar), and its cells."""
-    cells, sizes = [], []
+def _cells(row: dict) -> list:
+    """A row's cells, each tuple value spread into its own."""
+    cells = []
     for value in row.values():
-        if isinstance(value, (tuple, list)):
-            cells += value
-            sizes.append(len(value))
-        else:
-            cells.append(value)
-            sizes.append(None)
-    return (tuple(row), tuple(sizes)), cells
+        cells += value if isinstance(value, tuple) else (value,)
+    return cells
 
 
-@functools.cache
-def _row_layout(shape: tuple) -> tuple[str, str]:
-    """CSV header and JSON %-template of a row shape.
+def _layout(row: dict) -> tuple[str, str]:
+    """CSV header and JSON %-template of every row with ``row``'s keys and tuple lengths.
 
     A tuple value becomes the CSV columns name_0, name_1, ...; the template
-    lays the row out as json.dumps(rows, indent=2) does.
+    lays one row out as json.dumps(rows, indent=2) does.
     """
     names, items = [], []
-    for key, size in zip(*shape):
-        if not isinstance(key, str):
-            raise TypeError(f"row key {key!r} is not a string")
+    for key, value in row.items():
+        size = len(value) if isinstance(value, tuple) else None
         names += [key] if size is None else [f"{key}_{i}" for i in range(size)]
-        value = "%s" if size is None else "[\n" + ",\n".join(["      %s"] * size) + "\n    ]" if size else "[]"
-        items.append(f"    {json.dumps(key).replace('%', '%%')}: {value}")
-    return ",".join(names), "  {\n" + ",\n".join(items) + "\n  }" if items else "  {}"
+        value = "%s" if size is None else "[\n" + ",\n".join(["      %s"] * size) + "\n    ]"
+        items.append(f"    {json.dumps(key)}: {value}")
+    return ",".join(names), "  {\n" + ",\n".join(items) + "\n  }"
 
 
 def _json_text(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2), the cells of each chunk of rows encoded by one C-encoder call.
+    """json.dumps(rows, indent=2) of rows of one layout, each chunk's cells encoded by one C-encoder call.
 
     ensure_ascii escapes a newline inside a string, so the newlines that join
     the encoded cells split them apart again.  A value that is neither a
-    scalar nor a flat tuple or list of scalars raises TypeError.
+    scalar nor a flat tuple of scalars raises TypeError.
     """
-    parts = []
+    template, parts = _layout(rows[0])[1], []
     for start in range(0, len(rows), _JSON_CHUNK):
-        shapes, cells = zip(*map(_flat_row, rows[start : start + _JSON_CHUNK]))
-        body = json.dumps([cell for row in cells for cell in row], separators=("\n", ":"))[1:-1]
+        chunk = rows[start : start + _JSON_CHUNK]
+        body = json.dumps([cell for row in chunk for cell in _cells(row)], separators=("\n", ":"))[1:-1]
         # an encoded container opens with a bracket, and only a container cell can
         if body.startswith(("[", "{")) or "\n[" in body or "\n{" in body:
-            raise TypeError("a row value is neither a scalar nor a flat tuple or list of scalars")
-        template = ",\n".join(_row_layout(shape)[1] for shape in shapes)
-        parts.append(template % tuple(body.split("\n") if body else ()))
-    return "[\n" + ",\n".join(parts) + "\n]" if parts else "[]"
+            raise TypeError("a row value is neither a scalar nor a flat tuple of scalars")
+        parts.append(",\n".join([template] * len(chunk)) % tuple(body.split("\n")))
+    return "[\n" + ",\n".join(parts) + "\n]"
 
 
 def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
-    """Write rows to stdout or args.output; CSV columns follow the row keys."""
+    """Write rows of one layout to stdout or args.output; CSV columns follow the row keys."""
     if args.format == "csv":
-        shapes, cells = zip(*map(_flat_row, rows))
-        lines = [_row_layout(shapes[0])[0], *(",".join(map(_fmt_value, row)) for row in cells)]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([_layout(rows[0])[0], *(",".join(map(_fmt_value, _cells(row))) for row in rows), ""])
     else:
         text = _json_text(rows) + "\n"
     if args.output is None:

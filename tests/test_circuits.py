@@ -100,6 +100,8 @@ def test_gate_and_circuit_normalize_containers():
         Circuit([1, 2])
     with pytest.raises(ValueError):
         Circuit([Gate("NOT", (1,)), "CNOT 1 2"])
+    with pytest.raises(ValueError, match="not a sequence"):
+        Circuit(3)
 
 
 @pytest.mark.parametrize(

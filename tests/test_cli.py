@@ -8,6 +8,8 @@ import csv
 import dataclasses
 import json
 import math
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,26 +172,77 @@ _SCALARS = st.one_of(
     st.text(max_size=10),
     st.sampled_from([", ", "a\nb", "100%", '"', "%s %%", "\u00e9\u65e5\u672c\U0001f600", "\\"]),
 )
-_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4).map(tuple), st.lists(_SCALARS, max_size=4))
-_KEYS = st.one_of(st.text(max_size=10), st.sampled_from(["theta", "a, b", "%d%%", "line\nbreak", '"q"', "\u00e9"]))
+_KEYS = st.one_of(
+    st.sampled_from(["theta", "F_mpcc", "delta_spectrum", "psd_ok"]),
+    st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=10).filter(str.isidentifier),
+)
+_LAYOUTS = st.dictionaries(_KEYS, st.one_of(st.none(), st.integers(1, 8)), min_size=1, max_size=5)
+
+
+@st.composite
+def _tables(draw):
+    """Rows of one layout, as the subcommands write them: each column a scalar or a tuple of 1-8 scalars."""
+    layout = draw(_LAYOUTS)
+    return [
+        {key: draw(_SCALARS) if size is None else tuple(draw(_SCALARS) for _ in range(size))
+         for key, size in layout.items()}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.dictionaries(_KEYS, _VALUES, max_size=5), max_size=6), lead=st.integers(0, 6))
-@example(rows=[], lead=0)
-@example(rows=[{}], lead=0)
-@example(rows=[{"t": ()}, {"t": (1.5,)}, {"t": [None, True]}, {}], lead=2)
-def test_json_rows_are_the_bytes_of_json_dumps_with_indent_2(rows, lead):
+@given(rows=_tables(), chunk=st.integers(1, 6))
+@example(rows=[{"t": 0.5}], chunk=1)
+@example(rows=[{"t": (1.5,), "ok": True}, {"t": (-0.0,), "ok": None}, {"t": (2,), "ok": False}], chunk=2)
+@example(rows=[{"t": (i, -0.0), "ok": i % 3 == 0} for i in range(cli._JSON_CHUNK + 2)], chunk=6)
+def test_json_rows_are_the_bytes_of_json_dumps_with_indent_2(rows, chunk):
+    # the last example crosses the writer's own chunk boundary
     assert cli._json_text(rows) == json.dumps(rows, indent=2)
-    # past one encoder chunk, the chunk boundary falling before drawn row `lead`
-    rows = [{"t": (-0.0,)}] * (cli._JSON_CHUNK - lead) + rows
-    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    # in encoder chunks of `chunk` rows, so that chunk boundaries fall between any two drawn rows
+    with mock.patch.object(cli, "_JSON_CHUNK", chunk):
+        assert cli._json_text(rows) == json.dumps(rows, indent=2)
 
 
 @pytest.mark.parametrize("value", [[[1.0]], {"a": 1}, ({},), (1.0, []), [(2, 3)], {}])
 def test_json_rows_refuse_a_nested_container(value):
-    with pytest.raises(TypeError, match="flat tuple or list of scalars"):
-        cli._json_text([{"theta": 0.5}, {"theta": 0.5, "cell": value}])
+    with pytest.raises(TypeError, match="flat tuple of scalars"):
+        cli._json_text([{"theta": 0.5, "cell": value}])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--steps", "3"],
+        ["bloch", "--steps", "3", "--phi", "0.4"],
+        ["certify", "--steps", "3"],
+        ["circuits", "--steps", "2"],
+        ["optimize", "--steps", "2", "--seeds", "1"],
+    ],
+)
+def test_json_and_csv_carry_the_same_cells(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)
+    assert out == json.dumps(rows, indent=2) + "\n"
+    assert main([*argv, "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split(",") == [
+        name
+        for key, value in rows[0].items()
+        for name in ([f"{key}_{i}" for i in range(len(value))] if isinstance(value, list) else [key])
+    ]
+    assert len(lines) == len(rows) and all(list(row) == list(rows[0]) for row in rows)
+    for line, row in zip(lines, rows):
+        cells = [cell for value in row.values() for cell in (value if isinstance(value, list) else [value])]
+        texts = line.split(",")
+        assert len(texts) == len(cells)
+        for text, cell in zip(texts, cells):
+            if isinstance(cell, float):
+                assert repr(float(text)) == repr(cell)
+            elif isinstance(cell, bool):
+                assert text == ("true" if cell else "false")
+            else:
+                assert text == str(cell)
 
 
 # --- certify ---------------------------------------------------------------------
