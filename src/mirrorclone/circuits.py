@@ -19,9 +19,8 @@ Gate kinds:
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,19 +52,15 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "qubits", tuple(self.qubits))
-            object.__setattr__(self, "params", tuple(self.params))
-        except TypeError:
-            raise ValueError("gate qubits and params must be sequences") from None
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        object.__setattr__(self, "qubits", tuple(check_qubits(self.qubits, 3)))
+        object.__setattr__(self, "params", tuple(check_sequence(self.params, "gate params")))
         n_wires, n_params = GATE_ARITY[self.kind]
         if len(self.qubits) != n_wires:
             raise ValueError(f"{self.kind} takes {n_wires} qubit indices")
         if len(self.params) != n_params:
             raise ValueError(f"{self.kind} takes {n_params} parameters")
-        check_qubits(self.qubits, 3)
         for p in self.params:
             check_finite(p, "gate parameter")
         if self.kind in ("CCR", "CCR0", "EVOLVE") and self.qubits != (1, 2, 3):
@@ -76,7 +71,7 @@ class Gate:
 class Circuit:
     """Sequence of gates in application order (first gate acts first)."""
 
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(check_sequence(self.gates, "circuit gates")))
@@ -197,12 +192,8 @@ def eqneighbor_hamiltonian(kappa: float) -> np.ndarray:
     return kappa * sum(_on(EXCHANGE, pair) for pair in ((1, 2), (1, 3), (2, 3)))
 
 
-@functools.cache
-def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigendecomposition of the kappa = 1 Hamiltonian H0, which every kappa shares: H = kappa H0."""
-    w, v = np.linalg.eigh(eqneighbor_hamiltonian(1.0))
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
+# eigendecomposition of the kappa = 1 Hamiltonian H0, which every kappa shares: H = kappa H0
+_H0_W, _H0_V = np.linalg.eigh(eqneighbor_hamiltonian(1.0))
 
 
 def eqneighbor_propagator(t, kappa) -> np.ndarray:
@@ -211,8 +202,7 @@ def eqneighbor_propagator(t, kappa) -> np.ndarray:
     for t_i, kappa_i in zip(t.ravel().tolist(), kappa.ravel().tolist()):  # floats: overflow is inf, no warning
         kt = 2.0 * check_finite(kappa_i, "coupling rate") * check_finite(t_i, "evolution time")
         check_finite(kt, "phase 2*kappa*t")
-    w, v = _exchange_eigh()
-    return (v * np.exp(-1j * (kappa[..., None] * w) * t[..., None])[..., None, :]) @ v.conj().T
+    return (_H0_V * np.exp(-1j * (kappa[..., None] * _H0_W) * t[..., None])[..., None, :]) @ _H0_V.conj().T
 
 
 def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:
@@ -223,7 +213,7 @@ def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:
     |stay|^2 + 2|hop|^2 = 1.  The same pair governs both defect numbers.
     """
     kt = check_finite(kappa, "coupling rate") * check_finite(t, "evolution time")
-    check_finite(kt, "phase kappa*t")
+    check_finite(2.0 * kt, "phase 2*kappa*t")
     stay = (cmath.exp(-2j * kt) + 2.0 * cmath.exp(1j * kt)) / 3.0
     hop = (2.0 / 3.0) * math.sin(1.5 * kt) * cmath.exp(-0.5j * (math.pi + kt))
     return stay, hop
@@ -233,12 +223,12 @@ def interaction_time(theta: float, kappa: float) -> float:
     """Interaction time that loads the optimal mixing amplitude.
 
     Chosen so sqrt(2)*|hop amplitude| equals lam_bar:
-    t = (2 / (3 kappa)) * arcsin(3 lam_bar / (2 sqrt(2))).
+    t = (2 / (3 kappa)) * arcsin(3 lam_bar / (2 sqrt(2))); ValueError when t overflows.
     """
     if check_finite(kappa, "coupling rate") <= 0.0:
         raise ValueError("coupling rate must be positive")
     lam_bar = mpcc_params(theta).lam_bar
-    return (2.0 / (3.0 * kappa)) * math.asin(1.5 * lam_bar / SQRT2)
+    return check_finite((2.0 / 3.0) * math.asin(1.5 * lam_bar / SQRT2) / kappa, "interaction time")
 
 
 def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:

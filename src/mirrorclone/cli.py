@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -53,19 +54,14 @@ MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
 
-def _check_grid_flags(args: argparse.Namespace) -> None:
-    """The grid flags every subcommand takes, or ValueError (exit 2)."""
+def uniform_grid(args: argparse.Namespace) -> list[float]:
+    """Exactly args.steps floats, endpoints included; bad grid flags raise ValueError (exit 2)."""
     if check_polar(args.theta_min) > check_polar(args.theta_max):
         raise ValueError("need theta-min <= theta-max")
-    check_int(args.steps, "steps", 2, MAX_STEPS)
+    return np.linspace(args.theta_min, args.theta_max, check_int(args.steps, "steps", 2, MAX_STEPS)).tolist()
 
 
-def uniform_grid(args: argparse.Namespace) -> np.ndarray:
-    """Exactly args.steps points, endpoints included."""
-    return np.linspace(args.theta_min, args.theta_max, args.steps)
-
-
-def check_grid(args: argparse.Namespace) -> np.ndarray:
+def check_grid(args: argparse.Namespace) -> list[float]:
     """Uniform grid plus the fidelity-minimum angles, deduplicated and sorted.
 
     Used by the checking commands (certify, circuits, optimize) so the
@@ -77,7 +73,7 @@ def check_grid(args: argparse.Namespace) -> np.ndarray:
         for a in (FIDELITY_MINIMUM_ANGLE, math.pi - FIDELITY_MINIMUM_ANGLE)
         if args.theta_min <= a <= args.theta_max
     ]
-    return np.unique(np.concatenate([uniform_grid(args), np.array(extras)]))
+    return np.unique(np.concatenate([uniform_grid(args), extras])).tolist()
 
 
 def _fmt_value(value) -> str:
@@ -145,7 +141,6 @@ def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for theta in uniform_grid(args):
-        theta = float(theta)
         pr = mpcc_params(theta)
         f_mpcc = pr.fidelity
         f_pcc = pcc_fidelity(theta)
@@ -169,11 +164,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bloch(args: argparse.Namespace) -> int:
+    grid = uniform_grid(args)
     phi = check_finite(args.phi, "azimuth")  # before math.cos(inf) raises a bare "math domain error"
     plane = np.array([math.cos(phi), math.sin(phi), 0.0])
     rows = []
-    for theta in uniform_grid(args):
-        theta = float(theta)
+    for theta in grid:
         vec_m = mpcc_clone_bloch(theta, phi)
         vec_p = pcc_clone_bloch(theta, phi)
         vec_u = uc_clone_bloch(theta, phi)
@@ -195,7 +190,7 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    certs = certificate_batch([float(theta) for theta in check_grid(args)])
+    certs = certificate_batch(check_grid(args))
     _write_rows([vars(cert) for cert in certs], args)
     ok = [c.psd_ok and c.saturation_ok and c.fidelity_identity_residual <= CERTIFY_TOL for c in certs]
     if not all(ok):
@@ -206,7 +201,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
-    grid = [float(theta) for theta in check_grid(args)]
+    grid = check_grid(args)
+    if args.dump and args.output and os.path.realpath(args.dump) == os.path.realpath(args.output):
+        raise ValueError("--dump and --output name one file")
     inputs = haar_random_state(np.random.default_rng(args.seed), (len(grid), _INPUTS_PER_ANGLE))
     starts = np.zeros((len(grid), _INPUTS_PER_ANGLE, 8), dtype=np.complex128)
     starts[..., [0, 4]] = inputs  # |q 0 0>
@@ -239,10 +236,10 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    grid = check_grid(args)  # first, so a bad --steps gets its own message
     seeds = check_int(args.seeds, "seeds", 1)
     if args.steps * seeds > MAX_OPTIMIZE_RUNS:
         raise ValueError(f"steps x seeds must be at most {MAX_OPTIMIZE_RUNS}")
-    grid = [float(theta) for theta in check_grid(args)]
     results = optimize_batch(
         np.repeat(mirror_scores(grid), seeds, axis=0),
         [args.seed + offset for _ in grid for offset in range(seeds)],
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_grid_flags(args)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"mirror-clone: error: {exc}", file=sys.stderr)

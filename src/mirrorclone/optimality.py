@@ -257,16 +257,16 @@ def optimize_batch(
                 break
 
     chi_stars = check_choi(np.array([k @ k.conj().T for k in best_k]))
+    capped = set(active.tolist())  # the runs the step test never stopped
     return [
         OptimizeResult(
             chi_star=chi_star,
             f_star=f_star,
             iterations=len(h) - 1,
-            # the loop's stop test, on the same doubles
-            converged=bool(abs(h[-1] - h[-2]) < tol),
+            converged=j not in capped,
             fidelity_history=tuple(h),
         )
-        for chi_star, f_star, h in zip(chi_stars, best_f.tolist(), history)
+        for j, (chi_star, f_star, h) in enumerate(zip(chi_stars, best_f.tolist(), history))
     ]
 
 

@@ -116,6 +116,7 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
 
 def haar_random_state(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-random one-qubit pure state, or a ``shape`` array of them, bit for bit consecutive lone calls."""
+    shape = [check_int(n, "state shape entry", 0) for n in check_sequence(shape, "state shape")]
     draws = rng.standard_normal((*shape, 2, 2))
     re, im = draws[..., 0, :], draws[..., 1, :]
     return (re + 1j * im) / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
@@ -126,6 +127,8 @@ def check_state(psi: np.ndarray, size: int | None = None) -> np.ndarray:
 
     Given ``size``, ``psi`` must be one state of shape (size,)."""
     psi = np.asarray(psi)
+    if not np.issubdtype(psi.dtype, np.number):
+        raise ValueError(f"state amplitudes must be numbers, not dtype {psi.dtype}")
     if size is not None and psi.shape != (size,):
         raise ValueError(f"state must be a vector of {size} amplitudes, not shape {psi.shape}")
     deviation = np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0)

@@ -436,6 +436,9 @@ def test_propagators_reject_non_finite():
                 propagator(1e300, 1e10)
         with pytest.raises(ValueError, match="finite"):
             gate_matrix(Gate("EVOLVE", (1, 2, 3), (1e300, 1e10)))
+    # kappa*t is finite but 2*kappa*t, the phase of exp(-2i*kappa*t), is not
+    with pytest.raises(ValueError, match="phase 2\\*kappa\\*t"):
+        propagator_coefficients(9e307, 1.0)
 
 
 def test_propagator_closed_form_amplitudes(rng):
@@ -499,6 +502,12 @@ def test_interaction_time_scaling_and_poles():
         interaction_time(1.0, 0.0)
     with pytest.raises(ValueError):
         interaction_time(1.0, -2.0)
+    # a rate this small puts the time past the float range
+    with pytest.raises(ValueError, match="interaction time"):
+        interaction_time(0.7, 1e-320)
+    # 3 * kappa overflows here, but the time is still kappa's share of the kappa = 1 time
+    assert interaction_time(0.7, 7e307) > 0.0
+    assert abs(interaction_time(0.7, 7e307) * 7e307 - interaction_time(0.7, 1.0)) < 1e-12
 
 
 # --- second circuit -----------------------------------------------------------
@@ -524,7 +533,7 @@ def test_circuit_v2_intermediate_is_exact(rng):
     assert np.array_equal(state, want)
 
 
-@pytest.mark.parametrize("kappa", [1.0, 2.3])
+@pytest.mark.parametrize("kappa", [1.0, 2.3, 7e307])  # at 7e307, 3 * kappa overflows
 def test_circuit_v2_matches_isometry(rng, kappa):
     for theta in np.linspace(0.0, math.pi, 9):
         circ = circuit_mpcc_v2(float(theta), kappa)

@@ -74,6 +74,7 @@ def test_uniform_grid_endpoints():
     grid = uniform_grid(build_parser().parse_args(["sweep", "--steps", "5"]))
     assert grid[0] == 0.0 and grid[-1] == math.pi
     assert len(grid) == 5
+    assert all(type(theta) is float for theta in grid)
 
 
 def test_check_grid_adds_minimum_angles():
@@ -85,6 +86,24 @@ def test_check_grid_adds_minimum_angles():
     # outside a narrow window the extras are dropped
     narrow = check_grid(build_parser().parse_args(["certify", "--theta-max", "0.5", "--steps", "3"]))
     assert len(narrow) == 3
+    assert all(type(theta) is float for theta in grid + narrow)
+
+
+@pytest.mark.parametrize("command", ["sweep", "bloch", "certify", "circuits", "optimize"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta-min", "2", "--theta-max", "1"], "need theta-min <= theta-max"),
+        (["--steps", "1"], "steps 1 is not an integer from 2 to 100001"),
+        (["--steps", "100002"], "steps 100002 is not an integer from 2 to 100001"),
+        (["--theta-max", "nan"], "polar angle nan is not finite or not a real number"),
+    ],
+)
+def test_every_subcommand_checks_the_grid_flags(command, flags, message, capsys):
+    assert main([command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mirror-clone: error: {message}\n"
 
 
 # --- sweep --------------------------------------------------------------------
@@ -463,6 +482,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     dump = tmp_path / "g.txt"
     assert main(["circuits", "--steps", "2", "--dump", str(dump), "--output", str(tmp_path / "no" / "o.csv")]) == 2
     assert dump.read_bytes() == b""
+    # one file named twice, here once through "./": rejected before anything is written
+    same = tmp_path / "same.txt"
+    assert main(["circuits", "--steps", "2", "--dump", str(same), "--output", f"{tmp_path}/./same.txt"]) == 2
+    assert not same.exists()
     captured = capsys.readouterr()
     assert "mirror-clone: error" in captured.err
     assert "azimuth inf is not finite" in captured.err

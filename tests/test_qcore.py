@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirrorclone
+from mirrorclone.circuits import equal_up_to_global_phase
 from mirrorclone.cli import main
 from mirrorclone.cloners import clone, mpcc_choi, uc_choi, uc_fidelity
 from mirrorclone.fidelity import PriorDistribution, average_fidelity, score_operator
@@ -215,6 +216,9 @@ def test_check_state():
         check_state(stack[0], 2)  # given a size, one state only
     with pytest.raises(ValueError, match="dimensions"):
         fidelity_pure(stack[0], np.eye(2) / 2)  # a stack is not one state
+    for call in (partial(equal_up_to_global_phase, "ab", "ab"), partial(fidelity_pure, "ab", np.eye(2))):
+        with pytest.raises(ValueError, match="must be numbers"):
+            call()
 
 
 # --- the input checks every module shares --------------------------------------------
@@ -234,6 +238,9 @@ _SCORE = score_operator(PriorDistribution.mirror(1.0))
         (partial(uc_fidelity, 2.0), "number of copies"),
         (partial(partial_trace, np.eye(4), [True]), "qubit index"),
         (partial(partial_trace, np.eye(4), [np.int64(3)]), "qubit index"),
+        (partial(haar_random_state, np.random.default_rng(0), 3), "state shape"),
+        (partial(haar_random_state, np.random.default_rng(0), (2.5,)), "state shape"),
+        (partial(haar_random_state, np.random.default_rng(0), True), "state shape"),
     ],
     ids=lambda v: v.func.__name__ if isinstance(v, partial) else None,
 )
