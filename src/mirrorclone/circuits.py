@@ -52,15 +52,12 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_ARITY:
+        if not isinstance(self.kind, str) or self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(check_qubits(self.qubits, 3)))
         object.__setattr__(self, "params", tuple(check_sequence(self.params, "gate params")))
-        n_wires, n_params = GATE_ARITY[self.kind]
-        if len(self.qubits) != n_wires:
-            raise ValueError(f"{self.kind} takes {n_wires} qubit indices")
-        if len(self.params) != n_params:
-            raise ValueError(f"{self.kind} takes {n_params} parameters")
+        if (len(self.qubits), len(self.params)) != GATE_ARITY[self.kind]:
+            raise ValueError(f"{self.kind} needs (qubits, params) of lengths {GATE_ARITY[self.kind]}")
         for p in self.params:
             check_finite(p, "gate parameter")
         if self.kind in ("CCR", "CCR0", "EVOLVE") and self.qubits != (1, 2, 3):
@@ -126,6 +123,8 @@ def _gate_stack(kind: str, qubits: tuple[int, ...], params) -> np.ndarray:
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """8x8 unitary of a gate on the three-qubit register, a fresh writable array."""
+    if not isinstance(gate, Gate):
+        raise ValueError(f"{gate!r} is not a Gate")
     return _gate_stack(gate.kind, gate.qubits, [gate.params])[0].copy()
 
 
@@ -139,37 +138,21 @@ def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:
     """
     if polarity not in ("11", "00"):
         raise ValueError("polarity must be '11' or '00'")
-    check_finite(angle, "rotation angle")
-    signed = angle if polarity == "11" else -angle
-    core = [
-        Gate("CR", (2, 3), (signed / 2.0,)),
-        Gate("CNOT", (1, 2)),
-        Gate("CR", (2, 3), (-signed / 2.0,)),
-        Gate("CNOT", (1, 2)),
-        Gate("CR", (1, 3), (signed / 2.0,)),
-    ]
-    if polarity == "11":
-        return core
-    flips = [Gate("NOT", (1,)), Gate("NOT", (2,))]
+    signed = (1 if polarity == "11" else -1) * check_finite(angle, "rotation angle")
+    core = [Gate("CR", (2, 3), (signed / 2.0,)), Gate("CNOT", (1, 2)), Gate("CR", (2, 3), (-signed / 2.0,)),
+            Gate("CNOT", (1, 2)), Gate("CR", (1, 3), (signed / 2.0,))]
+    flips = [] if polarity == "11" else [Gate("NOT", (1,)), Gate("NOT", (2,))]
     return flips + core + flips
 
 
-def rotation_angle(theta: float) -> float:
-    """Preparation angle 2*arccos(lam) used by the first circuit."""
-    return 2.0 * math.acos(mpcc_params(theta).lam)
+def mpcc_v1_params(theta: float) -> tuple:
+    """Params of MPCC_V1_LAYOUT's gates at ``theta``: the y-rotation's preparation angle 2*arccos(lam)."""
+    return ((2.0 * math.acos(mpcc_params(theta).lam),), (), (), (), ())
 
 
 def circuit_mpcc_v1(theta: float) -> Circuit:
     """First realization: one y-rotation, one controlled Hadamard, three CNOTs."""
-    return Circuit(
-        (
-            Gate("ROTY", (3,), (rotation_angle(theta),)),
-            Gate("CH", (3, 2)),
-            Gate("CNOT", (1, 3)),
-            Gate("CNOT", (2, 1)),
-            Gate("CNOT", (3, 2)),
-        )
-    )
+    return _circuit(MPCC_V1_LAYOUT, mpcc_v1_params(theta))
 
 
 # --- exchange-interaction realization -------------------------------------
@@ -231,45 +214,73 @@ def interaction_time(theta: float, kappa: float) -> float:
     return check_finite((2.0 / 3.0) * math.asin(1.5 * lam_bar / SQRT2) / kappa, "interaction time")
 
 
-def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:
-    """Second realization: CNOT preparation, exchange evolution, phase repair.
+def mpcc_v2_params(theta: float, kappa: float = 1.0) -> tuple:
+    """Params of MPCC_V2_LAYOUT's gates at ``theta``: (time, kappa) and the two phase repairs.
 
-    After the first three gates an input a|000> + b|100> sits at
-    a|001> + b|110> exactly; the evolution then distributes amplitude and
-    the two conditional phase rotations undo the relative phase
-    2*(arg stay - arg hop) it picked up.
+    The first three gates take an input a|000> + b|100> exactly to a|001> + b|110>; the evolution
+    distributes amplitude and the two phase rotations undo the relative phase 2*(arg stay - arg hop).
     """
     t = interaction_time(theta, kappa)
     stay, hop = propagator_coefficients(t, kappa)
     correction = 2.0 * (cmath.phase(stay) - cmath.phase(hop))
-    return Circuit(
-        (
-            Gate("CNOT", (1, 2)),
-            Gate("CNOT", (1, 3)),
-            Gate("NOT", (3,)),
-            Gate("EVOLVE", (1, 2, 3), (t, kappa)),
-            Gate("CCR", (1, 2, 3), (correction,)),
-            Gate("CCR0", (1, 2, 3), (-correction,)),
-            Gate("NOT", (3,)),
-        )
-    )
+    return ((), (), (), (t, kappa), (correction,), (-correction,), ())
 
 
-def circuit_matrix_batch(circuits) -> np.ndarray:
-    """(N, 8, 8) unitaries of N >= 1 circuits of one layout, each gate position built as one stack."""
-    circuits = check_sequence(circuits, "circuits")
-    layouts = {tuple((g.kind, g.qubits) for g in c.gates) for c in circuits}
-    if len(layouts) != 1:
-        raise ValueError("need one or more circuits with the same gate kinds and qubits at each position")
-    out = np.tile(np.eye(8, dtype=np.complex128), (len(circuits), 1, 1))
-    for i, (kind, qubits) in enumerate(layouts.pop()):
-        out = _gate_stack(kind, qubits, [c.gates[i].params for c in circuits]) @ out
+def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:
+    """Second realization: CNOT preparation, exchange evolution, phase repair."""
+    return _circuit(MPCC_V2_LAYOUT, mpcc_v2_params(theta, kappa))
+
+
+# each variant's (kind, qubits) pairs in application order, and by name with its params function
+MPCC_V1_LAYOUT = (("ROTY", (3,)), ("CH", (3, 2)), ("CNOT", (1, 3)), ("CNOT", (2, 1)), ("CNOT", (3, 2)))
+MPCC_V2_LAYOUT = (("CNOT", (1, 2)), ("CNOT", (1, 3)), ("NOT", (3,)), ("EVOLVE", (1, 2, 3)),
+                  ("CCR", (1, 2, 3)), ("CCR0", (1, 2, 3)), ("NOT", (3,)))
+MPCC_VARIANTS = {"v1": (MPCC_V1_LAYOUT, mpcc_v1_params), "v2": (MPCC_V2_LAYOUT, mpcc_v2_params)}
+
+
+def _circuit(layout, params) -> Circuit:
+    """The Circuit of ``layout``'s (kind, qubits) pairs with one params tuple per gate."""
+    return Circuit([Gate(kind, qubits, p) for (kind, qubits), p in zip(layout, params, strict=True)])
+
+
+def _check_rows(layout, rows) -> tuple[list, list]:
+    """``layout`` and ``rows`` as lists if ``rows`` holds N >= 1 rows of finite params, one tuple per gate."""
+    try:  # Gate checks the layout against the first row, and every row must have that row's lengths
+        layout, rows = check_sequence(layout, "layout"), [list(r) for r in rows]
+        shape = [len(g.params) for g in _circuit(layout, rows[0]).gates]
+        if all(list(map(len, r)) == shape and all(math.isfinite(v) for p in r for v in p) for r in rows):
+            return layout, rows
+    except (TypeError, IndexError, OverflowError):  # no row, or a row, layout entry or value of the wrong type
+        pass
+    raise ValueError("need one or more rows of finite params, one tuple per gate of the layout")
+
+
+def compose_layout(layout, rows) -> np.ndarray:
+    """(N, 8, 8) unitaries of N circuits of one layout, each gate one stack built from its params column."""
+    layout, rows = _check_rows(layout, rows)
+    out = np.tile(np.eye(8, dtype=np.complex128), (len(rows), 1, 1))
+    for (kind, qubits), column in zip(layout, zip(*rows)):
+        out = _gate_stack(kind, qubits, column) @ out
     return out
+
+
+def layout_text(layout, rows) -> list[str]:
+    """Each row's text: one line per gate of KIND, qubit indices, then params (17 significant digits)."""
+    layout, rows = _check_rows(layout, rows)
+    return ["\n".join(" ".join([kind, *map(str, qubits), *(f"{p:.17g}" for p in ps)])
+                      for (kind, qubits), ps in zip(layout, row)) + "\n" for row in rows]
+
+
+def _split(circuit: Circuit) -> tuple[tuple, list]:
+    """A circuit's layout and its one row of params, else ValueError."""
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"{circuit!r} is not a Circuit")
+    return tuple((g.kind, g.qubits) for g in circuit.gates), [tuple(g.params for g in circuit.gates)]
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Composed 8x8 unitary of a circuit."""
-    return circuit_matrix_batch([circuit])[0]
+    return compose_layout(*_split(circuit))[0]
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray):
@@ -287,21 +298,16 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray):
 
 def serialize_circuit(circuit: Circuit) -> str:
     """One gate per line: KIND, qubit indices, then angles (17 significant digits)."""
-    lines = []
-    for g in circuit.gates:
-        parts = [g.kind, *(str(q) for q in g.qubits), *(f"{p:.17g}" for p in g.params)]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    return layout_text(*_split(circuit))[0]
 
 
 def parse_circuit(text: str) -> Circuit:
     """Inverse of serialize_circuit; blank lines and # comments are skipped."""
+    if not isinstance(text, str):
+        raise ValueError(f"circuit text {text!r} is not a str")
     gates = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *tokens = line.split()
-        n = GATE_ARITY.get(kind, (0, 0))[0]  # Gate rejects an unknown kind and a wrong token count
-        gates.append(Gate(kind, tuple(map(int, tokens[:n])), tuple(map(float, tokens[n:]))))
+    for kind, *tokens in filter(None, map(str.split, text.splitlines())):
+        if not kind.startswith("#"):
+            n = GATE_ARITY.get(kind, (0, 0))[0]  # Gate rejects an unknown kind and a wrong token count
+            gates.append(Gate(kind, tuple(map(int, tokens[:n])), tuple(map(float, tokens[n:]))))
     return Circuit(tuple(gates))

@@ -17,13 +17,7 @@ import sys
 
 import numpy as np
 
-from .circuits import (
-    circuit_matrix_batch,
-    circuit_mpcc_v1,
-    circuit_mpcc_v2,
-    equal_up_to_global_phase,
-    serialize_circuit,
-)
+from .circuits import MPCC_VARIANTS, compose_layout, equal_up_to_global_phase, layout_text
 from .cloners import (
     FIDELITY_MINIMUM_ANGLE,
     mpcc_fidelity,
@@ -47,9 +41,8 @@ _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # rows per C-encoder call of the JSON writer: at certify --steps 100001, 500 peaks at 469 MB RSS
 # against 528 MB for one call, at the same speed; closed-form-checks peaks at 52-54 MB either way
 _JSON_CHUNK = 500
-# grid caps: every subcommand holds one Python dict per row, circuits also holds
-# (N, 8, 8) unitary stacks and its N circuits of one variant (about 210 MB at
-# 20,001 steps), and optimize holds all (angle, start) runs at once, about 18 kB each
+# grid caps: every subcommand holds one Python dict per row, circuits also (N, 8, 8)
+# unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 18 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
@@ -209,15 +202,15 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     starts[..., [0, 4]] = inputs  # |q 0 0>
     targets = mpcc_isometry_apply(np.array(grid)[:, None], inputs)
     residuals, dumps, ok = {}, [], True
-    for name, build in (("v1", circuit_mpcc_v1), ("v2", circuit_mpcc_v2)):
-        circuits = [build(theta) for theta in grid]
+    for name, (layout, params_at) in MPCC_VARIANTS.items():
+        params = [params_at(theta) for theta in grid]
         if args.dump is not None:
-            dumps.append([f"# theta {t:.17g} variant {name}\n" + serialize_circuit(c)
-                          for t, c in zip(grid, circuits)])
-        outputs = (circuit_matrix_batch(circuits)[:, None] @ starts[..., None])[..., 0]
+            texts = layout_text(layout, params)
+            dumps.append([f"# theta {t:.17g} variant {name}\n{text}" for t, text in zip(grid, texts)])
+        outputs = (compose_layout(layout, params)[:, None] @ starts[..., None])[..., 0]
         equal, residuals[name] = equal_up_to_global_phase(outputs, targets)
         ok = ok and bool(equal.all())
-    del circuits, inputs, starts, targets, outputs  # let go before the rows: about 40 MB at 20,001 steps
+    del params, inputs, starts, targets, outputs  # let go before the rows: about 40 MB at 20,001 steps
     rows = [
         {"theta": theta, "variant": name, "input": idx, "residual": residual}
         for theta, per_angle in zip(grid, np.stack(list(residuals.values()), axis=-1).tolist())

@@ -19,22 +19,26 @@ from hypothesis import strategies as st
 from mirrorclone.circuits import (
     GATE_ARITY,
     HADAMARD_CONJUGATOR,
+    MPCC_V1_LAYOUT,
+    MPCC_V2_LAYOUT,
     Circuit,
     Gate,
     _gate_stack,
     circuit_matrix,
-    circuit_matrix_batch,
     circuit_mpcc_v1,
     circuit_mpcc_v2,
+    compose_layout,
     decompose_ccr,
     eqneighbor_hamiltonian,
     eqneighbor_propagator,
     equal_up_to_global_phase,
     gate_matrix,
     interaction_time,
+    layout_text,
+    mpcc_v1_params,
+    mpcc_v2_params,
     parse_circuit,
     propagator_coefficients,
-    rotation_angle,
     serialize_circuit,
 )
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_isometry_apply, mpcc_params
@@ -88,6 +92,8 @@ def test_gate_validation():
         Gate("ROTY", (1,), 0.5)  # params not a sequence
     with pytest.raises(ValueError):
         Gate("ROTY", (1,), ("x",))
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        Gate(["CNOT"], (1, 2))  # an unhashable kind
 
 
 def test_gate_and_circuit_normalize_containers():
@@ -102,6 +108,23 @@ def test_gate_and_circuit_normalize_containers():
         Circuit([Gate("NOT", (1,)), "CNOT 1 2"])
     with pytest.raises(ValueError, match="not a sequence"):
         Circuit(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(gate_matrix, "CNOT 1 2"),
+        partial(circuit_matrix, [Gate("NOT", (1,))]),
+        partial(serialize_circuit, "x"),
+        partial(parse_circuit, 3),
+        partial(parse_circuit, b"NOT 1"),
+    ],
+    ids=["gate_matrix", "circuit_matrix", "serialize_circuit", "parse_circuit-int", "parse_circuit-bytes"],
+)
+def test_wrong_argument_types_raise_value_error(call):
+    # ValueError naming the argument, not AttributeError or TypeError from the first use of it
+    with pytest.raises(ValueError, match="is not a"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -252,24 +275,46 @@ def test_gate_stacks_equal_the_lone_builder_bit_for_bit(drawn, kappas):
 @given(extra=st.lists(st.floats(0.0, math.pi), max_size=8), kappa=st.floats(0.2, 3.0))
 def test_circuit_batches_equal_the_lone_route_bit_for_bit(extra, kappa):
     grid = [0.0, math.pi / 2, math.pi, FIDELITY_MINIMUM_ANGLE, math.pi - FIDELITY_MINIMUM_ANGLE, *extra]
-    for build in (circuit_mpcc_v1, partial(circuit_mpcc_v2, kappa=kappa)):
-        circuits = [build(theta) for theta in grid]
-        stack = circuit_matrix_batch(circuits)
-        assert stack.shape == (len(grid), 8, 8)
-        for row, circ in zip(stack, circuits):
-            assert row.tobytes() == circuit_matrix(circ).tobytes() == lone_circuit_matrix(circ).tobytes()
-
-
-def test_circuit_batch_needs_one_shared_layout():
-    for circuits in (
-        [circuit_mpcc_v1(1.0), circuit_mpcc_v2(1.0)],  # other gate kinds
-        [Circuit([Gate("NOT", (1,))]), Circuit([Gate("NOT", (2,))])],  # the same kind on other qubits
-        [Circuit([Gate("NOT", (1,))]), Circuit()],  # other lengths
-        [],
+    for layout, params_at, build in (
+        (MPCC_V1_LAYOUT, mpcc_v1_params, circuit_mpcc_v1),
+        (MPCC_V2_LAYOUT, partial(mpcc_v2_params, kappa=kappa), partial(circuit_mpcc_v2, kappa=kappa)),
     ):
-        with pytest.raises(ValueError):
-            circuit_matrix_batch(circuits)
-    assert np.array_equal(circuit_matrix_batch([Circuit(), Circuit()]), np.tile(np.eye(8), (2, 1, 1)))
+        rows = [params_at(theta) for theta in grid]
+        stack = compose_layout(layout, rows)
+        assert stack.shape == (len(grid), 8, 8)
+        for row, text, theta in zip(stack, layout_text(layout, rows), grid, strict=True):
+            circ = build(theta)
+            assert row.tobytes() == circuit_matrix(circ).tobytes() == lone_circuit_matrix(circ).tobytes()
+            assert text == serialize_circuit(circ)
+
+
+def test_composer_and_writer_reject_rows_that_do_not_fit_the_layout():
+    good = mpcc_v1_params(0.4)
+    for layout, rows in (
+        (MPCC_V1_LAYOUT, []),  # no row
+        (MPCC_V1_LAYOUT, None),
+        (MPCC_V1_LAYOUT, [good, good[:-1]]),  # a row one gate short
+        (MPCC_V1_LAYOUT, [good, ((0.1, 0.2), (), (), (), ())]),  # two angles for a one-angle gate
+        (MPCC_V1_LAYOUT, [good, ((math.nan,), (), (), (), ())]),
+        (MPCC_V1_LAYOUT, [good, (("0.1",), (), (), (), ())]),
+        (MPCC_V1_LAYOUT, [good, ((10**400,), (), (), (), ())]),  # an int past the float range
+        (MPCC_V1_LAYOUT, [good, 3]),
+        (MPCC_V2_LAYOUT, [good]),  # another variant's row
+        ((("BAD", (1,)),), [((),)]),  # an unknown kind
+        ((("NOT", (1, 2)),), [((),)]),  # a kind on the wrong number of qubits
+        ((3,), [((),)]),  # a layout entry that is not a (kind, qubits) pair
+        (None, [good]),
+    ):
+        for call in (compose_layout, layout_text):
+            with pytest.raises(ValueError):
+                call(layout, rows)
+    # one-pass layouts and rows are read once, not spent by the check
+    for call in (compose_layout, layout_text):
+        want = call(MPCC_V1_LAYOUT, [good, good])
+        assert np.array_equal(call(iter(MPCC_V1_LAYOUT), (iter(row) for row in [good, good])), want)
+    # an empty layout composes to the identity, once per row
+    assert np.array_equal(compose_layout((), [(), ()]), np.tile(np.eye(8), (2, 1, 1)))
+    assert layout_text((), [()]) == ["\n"] == [serialize_circuit(Circuit())]
 
 
 def test_hamiltonian_matches_ordered_pair_sum():
@@ -366,8 +411,8 @@ def test_decompose_ccr_validation():
 
 
 def test_rotation_angle_values():
-    assert abs(rotation_angle(0.0)) < 1e-12  # lam = 1
-    assert abs(rotation_angle(math.pi / 2) - math.pi / 2) < 1e-12  # lam = 1/sqrt(2)
+    assert abs(mpcc_v1_params(0.0)[0][0]) < 1e-12  # lam = 1
+    assert abs(mpcc_v1_params(math.pi / 2)[0][0] - math.pi / 2) < 1e-12  # lam = 1/sqrt(2)
 
 
 def test_circuit_v1_pole_cases():
@@ -380,7 +425,7 @@ def test_circuit_v1_gate_list():
     gates = circuit_mpcc_v1(0.8).gates
     assert [g.kind for g in gates] == ["ROTY", "CH", "CNOT", "CNOT", "CNOT"]
     assert gates[0].qubits == (3,)
-    assert gates[0].params == (rotation_angle(0.8),)
+    assert gates[0].params == (2.0 * math.acos(mpcc_params(0.8).lam),)
     assert [g.qubits for g in gates[1:]] == [(3, 2), (1, 3), (2, 1), (3, 2)]
 
 
