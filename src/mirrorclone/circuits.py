@@ -145,9 +145,14 @@ def decompose_ccr(angle: float, polarity: str = "11") -> list[Gate]:
     return flips + core + flips
 
 
-def mpcc_v1_params(theta: float) -> tuple:
-    """Params of MPCC_V1_LAYOUT's gates at ``theta``: the y-rotation's preparation angle 2*arccos(lam)."""
-    return ((2.0 * math.acos(mpcc_params(theta).lam),), (), (), (), ())
+def mpcc_v1_params(theta) -> tuple | list[tuple]:
+    """Params of MPCC_V1_LAYOUT's gates at ``theta``, a list of them for a column of angles.
+
+    The y-rotation takes the preparation angle 2*arccos(lam).
+    """
+    lam = mpcc_params(theta).lam
+    rows = [((2.0 * math.acos(x),), (), (), (), ()) for x in np.ravel(lam).tolist()]
+    return rows if np.ndim(lam) else rows[0]
 
 
 def circuit_mpcc_v1(theta: float) -> Circuit:
@@ -202,8 +207,8 @@ def propagator_coefficients(t: float, kappa: float) -> tuple[complex, complex]:
     return stay, hop
 
 
-def interaction_time(theta: float, kappa: float) -> float:
-    """Interaction time that loads the optimal mixing amplitude.
+def interaction_time(theta, kappa: float) -> float | list[float]:
+    """Interaction time that loads the optimal mixing amplitude, a list of them for a column of angles.
 
     Chosen so sqrt(2)*|hop amplitude| equals lam_bar:
     t = (2 / (3 kappa)) * arcsin(3 lam_bar / (2 sqrt(2))); ValueError when t overflows.
@@ -211,19 +216,24 @@ def interaction_time(theta: float, kappa: float) -> float:
     if check_finite(kappa, "coupling rate") <= 0.0:
         raise ValueError("coupling rate must be positive")
     lam_bar = mpcc_params(theta).lam_bar
-    return check_finite((2.0 / 3.0) * math.asin(1.5 * lam_bar / SQRT2) / kappa, "interaction time")
+    times = [check_finite((2.0 / 3.0) * math.asin(1.5 * x / SQRT2) / kappa, "interaction time")
+             for x in np.ravel(lam_bar).tolist()]
+    return times if np.ndim(lam_bar) else times[0]
 
 
-def mpcc_v2_params(theta: float, kappa: float = 1.0) -> tuple:
-    """Params of MPCC_V2_LAYOUT's gates at ``theta``: (time, kappa) and the two phase repairs.
+def mpcc_v2_params(theta, kappa: float = 1.0) -> tuple | list[tuple]:
+    """Params of MPCC_V2_LAYOUT's gates at ``theta``, a list of them for a column of angles.
 
-    The first three gates take an input a|000> + b|100> exactly to a|001> + b|110>; the evolution
-    distributes amplitude and the two phase rotations undo the relative phase 2*(arg stay - arg hop).
+    They are the evolution's (time, kappa) and the two phase repairs.  The first three gates take an input
+    a|000> + b|100> exactly to a|001> + b|110>; the evolution distributes amplitude and the two phase
+    rotations undo the relative phase 2*(arg stay - arg hop).
     """
-    t = interaction_time(theta, kappa)
-    stay, hop = propagator_coefficients(t, kappa)
-    correction = 2.0 * (cmath.phase(stay) - cmath.phase(hop))
-    return ((), (), (), (t, kappa), (correction,), (-correction,), ())
+    times, rows = interaction_time(theta, kappa), []
+    for t in np.ravel(times).tolist():
+        stay, hop = propagator_coefficients(t, kappa)
+        correction = 2.0 * (cmath.phase(stay) - cmath.phase(hop))
+        rows.append(((), (), (), (t, kappa), (correction,), (-correction,), ()))
+    return rows if np.ndim(times) else rows[0]
 
 
 def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:

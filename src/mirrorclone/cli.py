@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -38,8 +39,8 @@ from .qcore import check_finite, check_int, check_polar, haar_random_state
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
 CERTIFY_TOL = 1e-10  # certify's bound on the fidelity-identity residual
 _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
-# rows per C-encoder call of the JSON writer: at certify --steps 100001, 500 peaks at 469 MB RSS
-# against 528 MB for one call, at the same speed; closed-form-checks peaks at 52-54 MB either way
+# rows per template fill of the JSON writer: at certify --steps 100001 the writer then peaks below
+# certificate_batch (403 MB RSS), where one fill of all rows peaks at 429 MB
 _JSON_CHUNK = 500
 # grid caps: every subcommand holds one Python dict per row, circuits also (N, 8, 8)
 # unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 18 kB each
@@ -77,14 +78,6 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _cells(row: dict) -> list:
-    """A row's cells, each tuple value spread into its own."""
-    cells = []
-    for value in row.values():
-        cells += value if isinstance(value, tuple) else (value,)
-    return cells
-
-
 def _layout(row: dict) -> tuple[str, str]:
     """CSV header and JSON %-template of every row with ``row``'s keys and tuple lengths.
 
@@ -100,28 +93,58 @@ def _layout(row: dict) -> tuple[str, str]:
     return ",".join(names), "  {\n" + ",\n".join(items) + "\n  }"
 
 
-def _json_text(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2) of rows of one layout, each chunk's cells encoded by one C-encoder call.
+def _encode(values: list, fmt: str) -> list[str]:
+    """The CSV or JSON text of each value.
 
-    ensure_ascii escapes a newline inside a string, so the newlines that join
-    the encoded cells split them apart again.  A value that is neither a
-    scalar nor a flat tuple of scalars raises TypeError.
+    JSON text comes from one json C-encoder call: ensure_ascii escapes a
+    newline inside a string, so the newlines that join the encoded values
+    split them apart again.  A value that is neither a scalar nor a flat
+    tuple of scalars raises TypeError.
     """
-    template, parts = _layout(rows[0])[1], []
+    if fmt == "csv":
+        return list(map(_fmt_value, values))
+    body = json.dumps(values, separators=("\n", ":"))[1:-1]
+    # an encoded container opens with a bracket, and only a container cell can
+    if body.startswith(("[", "{")) or "\n[" in body or "\n{" in body:
+        raise TypeError("a row value is neither a scalar nor a flat tuple of scalars")
+    return body.split("\n")
+
+
+def _column_texts(rows: list[dict], fmt: str) -> list[list[str]]:
+    """The text of every cell of rows of one layout, column by column, each tuple value spread into its own columns.
+
+    The float columns encode each distinct float of the table once, so each
+    of a column's too.  Distinct means distinct bits, so -0.0 and 0.0 stay
+    apart; a column with any cell whose type is not float (a bool's never is)
+    is encoded cell by cell, so 1, 1.0 and True stay apart too.
+    """
+    columns = []
+    for key, first in rows[0].items():
+        column = [row[key] for row in rows]
+        columns += zip(*column) if isinstance(first, tuple) else [column]
+    floats = [set(map(type, cells)) == {float} for cells in columns]
+    # the bits of every float column at once: each distinct one is encoded once, then indexed per cell
+    bits, inverse = np.unique(np.array([c for c, f in zip(columns, floats) if f]).view(np.int64), return_inverse=True)
+    texts, indices = np.array(_encode(bits.view(np.float64).tolist(), fmt), dtype=object), iter(inverse)
+    return [texts[next(indices)].tolist() if f else _encode(list(c), fmt) for c, f in zip(columns, floats)]
+
+
+def _json_text(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2) of rows of one layout, _JSON_CHUNK rows at a time filled into the template."""
+    template, texts, parts = _layout(rows[0])[1], _column_texts(rows, "json"), []
     for start in range(0, len(rows), _JSON_CHUNK):
-        chunk = rows[start : start + _JSON_CHUNK]
-        body = json.dumps([cell for row in chunk for cell in _cells(row)], separators=("\n", ":"))[1:-1]
-        # an encoded container opens with a bracket, and only a container cell can
-        if body.startswith(("[", "{")) or "\n[" in body or "\n{" in body:
-            raise TypeError("a row value is neither a scalar nor a flat tuple of scalars")
-        parts.append(",\n".join([template] * len(chunk)) % tuple(body.split("\n")))
-    return "[\n" + ",\n".join(parts) + "\n]"
+        cells = chain.from_iterable(zip(*(column[start : start + _JSON_CHUNK] for column in texts)))
+        parts.append(",\n".join([template] * min(_JSON_CHUNK, len(rows) - start)) % tuple(cells))
+    del texts  # every cell's text, let go before the join copies the parts
+    parts[0] = "[\n" + parts[0]
+    parts[-1] += "\n]"
+    return ",\n".join(parts)
 
 
 def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
     """Write rows of one layout to stdout or args.output; CSV columns follow the row keys."""
     if args.format == "csv":
-        text = "\n".join([_layout(rows[0])[0], *(",".join(map(_fmt_value, _cells(row))) for row in rows), ""])
+        text = "\n".join([_layout(rows[0])[0], *map(",".join, zip(*_column_texts(rows, "csv"))), ""])
     else:
         text = _json_text(rows) + "\n"
     if args.output is None:
@@ -131,28 +154,21 @@ def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
         fh.write(text)
 
 
+def _rows(columns: dict) -> list[dict]:
+    """One row per angle from named columns of equal length (lists, or arrays of floats)."""
+    values = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = []
-    for theta in uniform_grid(args):
-        pr = mpcc_params(theta)
-        f_mpcc = pr.fidelity
-        f_pcc = pcc_fidelity(theta)
-        f_uc = uc_fidelity(2)
-        if not (0.5 <= f_mpcc <= 1.0 and 0.5 <= f_pcc <= 1.0):
-            raise ArithmeticError(f"fidelity outside [1/2, 1] at theta={theta!r}")
-        rows.append(
-            {
-                "theta": theta,
-                "F_mpcc": f_mpcc,
-                "F_pcc": f_pcc,
-                "F_uc": f_uc,
-                "Lambda": pr.lam,
-                "A": pr.a,
-                "B": pr.b,
-                "C": pr.c,
-            }
-        )
-    _write_rows(rows, args)
+    grid = uniform_grid(args)
+    pr, f_pcc = mpcc_params(grid), pcc_fidelity(grid)
+    bad = ~((0.5 <= pr.fidelity) & (pr.fidelity <= 1.0) & (0.5 <= f_pcc) & (f_pcc <= 1.0))
+    if bad.any():
+        raise ArithmeticError(f"fidelity outside [1/2, 1] at theta={grid[bad.argmax()]!r}")
+    columns = {"theta": grid, "F_mpcc": pr.fidelity, "F_pcc": f_pcc, "F_uc": [uc_fidelity(2)] * len(grid),
+               "Lambda": pr.lam, "A": pr.a, "B": pr.b, "C": pr.c}
+    _write_rows(_rows(columns), args)
     return 0
 
 
@@ -160,25 +176,13 @@ def cmd_bloch(args: argparse.Namespace) -> int:
     grid = uniform_grid(args)
     phi = check_finite(args.phi, "azimuth")  # before math.cos(inf) raises a bare "math domain error"
     plane = np.array([math.cos(phi), math.sin(phi), 0.0])
-    rows = []
-    for theta in grid:
-        vec_m = mpcc_clone_bloch(theta, phi)
-        vec_p = pcc_clone_bloch(theta, phi)
-        vec_u = uc_clone_bloch(theta, phi)
-        rows.append(
-            {
-                "theta": theta,
-                "rx_mpcc": float(vec_m @ plane),
-                "rz_mpcc": float(vec_m[2]),
-                "rx_pcc": float(vec_p @ plane),
-                "rz_pcc": float(vec_p[2]),
-                "rx_uc": float(vec_u @ plane),
-                "rz_uc": float(vec_u[2]),
-                "rx_perfect": math.sin(theta),
-                "rz_perfect": math.cos(theta),
-            }
-        )
-    _write_rows(rows, args)
+    columns = {"theta": grid}
+    for name, bloch in (("mpcc", mpcc_clone_bloch), ("pcc", pcc_clone_bloch), ("uc", uc_clone_bloch)):
+        vectors = bloch(grid, phi)
+        # vecdot takes each row's dot product as vector @ plane does, bit for bit; a matrix product need not
+        columns[f"rx_{name}"], columns[f"rz_{name}"] = np.vecdot(vectors, plane), vectors[:, 2]
+    columns["rx_perfect"], columns["rz_perfect"] = [math.sin(t) for t in grid], [math.cos(t) for t in grid]
+    _write_rows(_rows(columns), args)
     return 0
 
 
@@ -203,7 +207,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     targets = mpcc_isometry_apply(np.array(grid)[:, None], inputs)
     residuals, dumps, ok = {}, [], True
     for name, (layout, params_at) in MPCC_VARIANTS.items():
-        params = [params_at(theta) for theta in grid]
+        params = params_at(grid)
         if args.dump is not None:
             texts = layout_text(layout, params)
             dumps.append([f"# theta {t:.17g} variant {name}\n{text}" for t, text in zip(grid, texts)])
@@ -238,28 +242,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         [args.seed + offset for _ in grid for offset in range(seeds)],
         tol=1e-11,
     )
-    rows = []
-    ok = True
-    for i, theta in enumerate(grid):
-        # max() keeps the first of equal values, as the lowest seed wins ties
-        best = max(results[i * seeds : (i + 1) * seeds], key=lambda r: r.f_star)
-        f_ref = mpcc_fidelity(theta)
-        gap = best.f_star - f_ref
-        if abs(gap) > GAP_TOL:
-            ok = False
-        rows.append(
-            {
-                "theta": theta,
-                "F_star": best.f_star,
-                "F_mpcc": f_ref,
-                "gap": gap,
-                "pattern_defect": choi_pattern_defect(best.chi_star, theta),
-                "iterations": best.iterations,
-                "converged": best.converged,
-            }
-        )
-    _write_rows(rows, args)
-    return 0 if ok else 1
+    # max() keeps the first of equal values, as the lowest seed wins ties
+    best = [max(results[i : i + seeds], key=lambda r: r.f_star) for i in range(0, len(results), seeds)]
+    f_star, f_ref = np.array([r.f_star for r in best]), mpcc_fidelity(grid)
+    gap = f_star - f_ref
+    columns = {"theta": grid, "F_star": f_star, "F_mpcc": f_ref, "gap": gap,
+               "pattern_defect": choi_pattern_defect(np.array([r.chi_star for r in best]), grid),
+               "iterations": [r.iterations for r in best], "converged": [r.converged for r in best]}
+    _write_rows(_rows(columns), args)
+    return 1 if (np.abs(gap) > GAP_TOL).any() else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ FIDELITY_MINIMUM_ANGLE = math.acos(math.sqrt(3.0) / 3.0)
 
 @dataclass(frozen=True)
 class MpccParams:
-    """Parameters of the optimal mirror machine at one polar angle.
+    """Parameters of the optimal mirror machine at one polar angle, or columns of them at a column of angles.
 
     lam is the direct-copy amplitude (weight kept on |00> and |11|) and
     lam_bar = sqrt(1 - lam^2) the symmetric-mix amplitude.  a, b, c are
@@ -36,7 +37,8 @@ class MpccParams:
     the two (c = sqrt(a*b)).  candidates lists the four signed roots of
     the rationalized stationarity equation; squaring discards a sign, so
     only the first and last are true stationary points of the functional.
-    lam is the first root and is checked to be the maximizer.
+    lam is the first root and is checked to be the maximizer.  fidelity is
+    F = (1 + lam^2 cos(theta)^2 + sqrt(2) lam lam_bar sin(theta)^2) / 2.
     """
 
     theta: float
@@ -47,26 +49,39 @@ class MpccParams:
     a: float
     b: float
     c: float
-
-    @property
-    def fidelity(self) -> float:
-        """F = (1 + lam^2 cos(theta)^2 + sqrt(2) lam lam_bar sin(theta)^2) / 2."""
-        c_sq = math.cos(self.theta) ** 2
-        s_sq = math.sin(self.theta) ** 2
-        return 0.5 * (1.0 + self.a * c_sq + SQRT2 * self.lam * self.lam_bar * s_sq)
+    fidelity: float
 
 
-def _amplitude_fidelity(s_sq: float, lam: float) -> float:
+def _polar_columns(theta) -> tuple:
+    """Checks each angle of ``theta``, one angle or a 1-D column of them, once (check_polar).
+
+    Returns whether it was one angle, then the angles and their cos, sin,
+    cos^2 and sin^2 by math, as float64 columns: NumPy then rounds each +,
+    -, *, / and sqrt of the closed forms as Python does, bit for bit.
+    """
+    items = theta.tolist() if isinstance(theta, np.ndarray) else theta
+    lone = not isinstance(items, (list, tuple))
+    angles = list(map(check_polar, [items] if lone else items))
+    cos, sin = list(map(math.cos, angles)), list(map(math.sin, angles))
+    return lone, *np.array([angles, cos, sin, [c ** 2 for c in cos], [s ** 2 for s in sin]])
+
+
+def _fit(lone: bool, column: np.ndarray):
+    """A column, or a stack of rows, as its angles came: for one angle its one row, a scalar row as a Python float."""
+    return column if not lone else column[0] if column.ndim > 1 else column.item()
+
+
+def _amplitude_fidelity(s_sq, lam):
     """Mean clone fidelity of the mirror-symmetric isometry with amplitude lam, unchecked.
 
     F = (1 + lam^2)/2 - s_sq * (lam^2 - lam*sqrt(2 - 2*lam^2)) / 2, with s_sq = sin(theta)^2
     """
-    lam_bar_sq = max(1.0 - lam * lam, 0.0)
-    return (1.0 + lam * lam) / 2.0 - 0.5 * s_sq * (lam * lam - lam * math.sqrt(2.0 * lam_bar_sq))
+    lam_bar_sq = np.maximum(1.0 - lam * lam, 0.0)
+    return (1.0 + lam * lam) / 2.0 - 0.5 * s_sq * (lam * lam - lam * np.sqrt(2.0 * lam_bar_sq))
 
 
-def mpcc_params(theta: float) -> MpccParams:
-    """Solve the stationarity quartic and select the optimal amplitude.
+def mpcc_params(theta) -> MpccParams:
+    """Solve the stationarity quartic and select the optimal amplitude, at one angle or a column of them.
 
     The four candidate amplitudes are (-1)^i * sqrt(1/2 + (-1)^j *
     cos(theta)^2 / (2*sqrt(p))) for i, j in {0, 1}, ordered by i + 2j,
@@ -75,30 +90,36 @@ def mpcc_params(theta: float) -> MpccParams:
     optimum; this is asserted against a direct argmax over all four and
     any disagreement raises ArithmeticError.
     """
-    check_polar(theta)
-    cos_sq = math.cos(theta) ** 2
+    lone, theta, _, _, cos_sq, s_sq = _polar_columns(theta)
+    return _mpcc_params(lone, theta, cos_sq, s_sq)
+
+
+def _mpcc_params(lone: bool, theta, cos_sq, s_sq) -> MpccParams:
+    """mpcc_params from the checked columns of _polar_columns, each field fit to one angle if lone."""
     p = 2.0 - 4.0 * cos_sq + 3.0 * cos_sq * cos_sq
-    shift = cos_sq / (2.0 * math.sqrt(p))
+    shift = cos_sq / (2.0 * np.sqrt(p))
     # shift <= 1/2 always: cos^4 <= p reduces to 2*(1 - cos^2)^2 >= 0
-    plus = math.sqrt(0.5 + shift)
-    minus = math.sqrt(max(0.5 - shift, 0.0))
+    plus = np.sqrt(0.5 + shift)
+    minus = np.sqrt(np.maximum(0.5 - shift, 0.0))
     candidates = (plus, -plus, minus, -minus)
     lam = candidates[0]
-    s_sq = math.sin(theta) ** 2
-    values = [_amplitude_fidelity(s_sq, c) for c in candidates]
-    if max(values) - values[0] > 1e-12:
+    values = _amplitude_fidelity(s_sq, np.stack(candidates))
+    failed = values.max(axis=0) - values[0] > 1e-12
+    if failed.any():
         raise ArithmeticError(
-            f"amplitude selection failed at theta={theta!r}: "
+            f"amplitude selection failed at theta={theta[failed][0].item()!r}: "
             f"first stationary point is not the maximizer"
         )
-    lam_bar = math.sqrt(max(1.0 - lam * lam, 0.0))
+    lam_bar = np.sqrt(np.maximum(1.0 - lam * lam, 0.0))
     a = lam * lam
     b = lam_bar * lam_bar / 2.0
     c = lam * lam_bar / SQRT2
-    return MpccParams(theta, p, candidates, lam, lam_bar, a, b, c)
+    fidelity = 0.5 * (1.0 + a * cos_sq + SQRT2 * lam * lam_bar * s_sq)
+    fit = partial(_fit, lone)
+    return MpccParams(fit(theta), fit(p), tuple(map(fit, candidates)), *map(fit, (lam, lam_bar, a, b, c, fidelity)))
 
 
-def mpcc_fidelity(theta: float) -> float:
+def mpcc_fidelity(theta) -> float | np.ndarray:
     """Optimal mirror-machine fidelity, MpccParams.fidelity at the optimal amplitude.
 
     Equals 1 at the poles, has the global minimum 5/6 at cos(theta)^2 = 1/3.
@@ -145,8 +166,8 @@ def mpcc_isometry_apply(theta, psi: np.ndarray) -> np.ndarray:
     psi = check_state(psi)
     if psi.shape[-1:] != (2,) or psi.ndim > max(np.ndim(theta), 1) + 1:
         raise ValueError(f"need one-qubit states, stacked no deeper than the angles, not shape {psi.shape}")
-    params = np.array([(pr.lam, pr.lam_bar / SQRT2) for pr in map(mpcc_params, np.ravel(theta).tolist())])
-    lam, h = params.T.reshape(2, *np.shape(theta))
+    pr = mpcc_params(np.ravel(theta))
+    lam, h = pr.lam.reshape(np.shape(theta)), (pr.lam_bar / SQRT2).reshape(np.shape(theta))
     o = np.zeros_like(lam)
     image0 = np.stack([lam, o, o, h, o, h, o, o], axis=-1).astype(np.complex128)
     image1 = np.stack([o, o, h, o, h, o, o, lam], axis=-1).astype(np.complex128)
@@ -168,44 +189,39 @@ def clone(psi: np.ndarray, chi: np.ndarray):
     return rho_out, rho1, rho2
 
 
-def mpcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
-    """Bloch vector of either clone of the mirror machine.
+def mpcc_clone_bloch(theta, phi: float) -> np.ndarray:
+    """Bloch vector of either clone of the mirror machine, stacked (N, 3) for a column of angles.
 
     (sqrt(2) lam lam_bar sin(theta) cos(phi),
      sqrt(2) lam lam_bar sin(theta) sin(phi),
      lam^2 cos(theta))
     """
-    pr = mpcc_params(theta)
+    lone, theta, cos, sin, cos_sq, s_sq = _polar_columns(theta)
+    pr = _mpcc_params(False, theta, cos_sq, s_sq)
     check_finite(phi, "azimuth")
-    r_eq = SQRT2 * pr.lam * pr.lam_bar * math.sin(theta)
-    return np.array([r_eq * math.cos(phi), r_eq * math.sin(phi), pr.a * math.cos(theta)])
+    r_eq = SQRT2 * pr.lam * pr.lam_bar * sin
+    return _fit(lone, np.stack([r_eq * math.cos(phi), r_eq * math.sin(phi), pr.a * cos], axis=1))
 
 
-def _pole_sign(theta: float) -> float:
+def _pole_sign(theta: np.ndarray) -> np.ndarray:
     # sign of (pi - 2*theta); the boundary theta = pi/2 is assigned +1,
     # where the fidelity does not depend on the choice
-    return 1.0 if math.pi - 2.0 * theta >= 0.0 else -1.0
+    return np.where(math.pi - 2.0 * theta >= 0.0, 1.0, -1.0)
 
 
-def pcc_clone_bloch(theta: float, phi: float) -> np.ndarray:
-    """Bloch vector of either clone of the phase-covariant machine."""
-    check_polar(theta, phi)
+def pcc_clone_bloch(theta, phi: float) -> np.ndarray:
+    """Bloch vector of either clone of the phase-covariant machine, stacked (N, 3) for a column of angles."""
+    lone, theta, cos, sin, _, _ = _polar_columns(theta)
+    check_finite(phi, "azimuth")
     s = _pole_sign(theta)
-    return np.array(
-        [
-            math.sin(theta) * math.cos(phi) / SQRT2,
-            math.sin(theta) * math.sin(phi) / SQRT2,
-            (s + math.cos(theta)) / 2.0,
-        ]
-    )
+    return _fit(lone, np.stack([sin * math.cos(phi) / SQRT2, sin * math.sin(phi) / SQRT2, (s + cos) / 2.0], axis=1))
 
 
-def pcc_fidelity(theta: float) -> float:
-    """Clone fidelity of the phase-covariant machine at known polar angle."""
-    check_polar(theta)
+def pcc_fidelity(theta) -> float | np.ndarray:
+    """Clone fidelity of the phase-covariant machine at known polar angle, or a column of them."""
+    lone, theta, cos, _, _, s_sq = _polar_columns(theta)
     s = _pole_sign(theta)
-    cos_t = math.cos(theta)
-    return 0.5 * (1.0 + math.sin(theta) ** 2 / SQRT2 + cos_t * (s + cos_t) / 2.0)
+    return _fit(lone, 0.5 * (1.0 + s_sq / SQRT2 + cos * (s + cos) / 2.0))
 
 
 def uc_fidelity(n_copies: int = 2) -> float:
@@ -214,13 +230,8 @@ def uc_fidelity(n_copies: int = 2) -> float:
     return (2.0 * n_copies + 1.0) / (3.0 * n_copies)
 
 
-def uc_clone_bloch(theta: float, phi: float) -> np.ndarray:
-    """Bloch vector of a universal-machine clone: the input shrunk by 2/3."""
-    check_polar(theta, phi)
-    return (2.0 / 3.0) * np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
-    )
+def uc_clone_bloch(theta, phi: float) -> np.ndarray:
+    """Bloch vector of a universal-machine clone, the input shrunk by 2/3, stacked (N, 3) for a column of angles."""
+    lone, _, cos, sin, _, _ = _polar_columns(theta)
+    check_finite(phi, "azimuth")
+    return _fit(lone, (2.0 / 3.0) * np.stack([sin * math.cos(phi), sin * math.sin(phi), cos], axis=1))

@@ -69,8 +69,8 @@ class PriorDistribution:
     @staticmethod
     def mirror(theta: float) -> "PriorDistribution":
         """Equal-weight atoms on theta and its mirror image pi - theta."""
-        # check_polar runs before pi - theta, which raises TypeError for a non-real angle
-        return PriorDistribution(((check_polar(theta), 0.5), (math.pi - theta, 0.5)))
+        theta = check_polar(theta)  # a float, before pi - theta raises TypeError for a non-real angle
+        return PriorDistribution(((theta, 0.5), (math.pi - theta, 0.5)))
 
     @staticmethod
     def phase_covariant(theta: float) -> "PriorDistribution":

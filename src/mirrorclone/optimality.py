@@ -72,13 +72,13 @@ def certificate_batch(thetas) -> list[OptimalityCertificate]:
     angle outside [0, pi] raises ValueError.  A failed check is not raised:
     a false psd_ok or saturation_ok is data for the caller to act on.
     """
-    params = [mpcc_params(theta) for theta in check_sequence(thetas, "polar angles")]
-    if not params:
+    thetas = check_sequence(thetas, "polar angles")
+    if not thetas:
         return []
-    thetas = [pr.theta for pr in params]
+    pr = mpcc_params(thetas)  # the closed forms as columns
+    a, b, c, f, thetas = pr.a, pr.b, pr.c, pr.fidelity, pr.theta.tolist()
     score = mirror_scores(thetas).astype(np.complex128)  # complex: no cast in score @ chi
-    per_angle = [(p.a, p.b, p.c, p.fidelity, math.sin(p.theta) ** 2, math.cos(p.theta) ** 2) for p in params]
-    a, b, c, f, s1_sq, cos_sq = np.array(per_angle).T  # the closed forms, sines and cosines, by math
+    s1_sq, cos_sq = np.array([(math.sin(t) ** 2, math.cos(t) ** 2) for t in thetas]).T  # by math, as the closed forms
 
     lam_op = partial_trace(score @ choi_from_weights(a, b, c), [1])
     traces = np.trace(lam_op, axis1=1, axis2=2).real
@@ -292,12 +292,12 @@ def optimize_map(
     return optimize_batch(np.asarray(score)[None], [seed], tol, max_iter)[0]
 
 
-def choi_pattern_defect(chi: np.ndarray, theta: float) -> float:
-    """Entrywise gap between |chi| and the analytic optimal pattern.
+def choi_pattern_defect(chi: np.ndarray, theta) -> float | np.ndarray:
+    """Entrywise gap between |chi| and the analytic optimal pattern, a column of them for a stack at a column of angles.
 
     Compares magnitudes only, which fixes any per-entry phase freedom.
     Informative rather than decisive: at polar angles with a degenerate
     optimum the optimizer may land on a different optimal channel.
     """
-    chi = np.asarray(chi)
-    return float(np.abs(np.abs(chi) - mpcc_choi(theta)).max())
+    defect = np.abs(np.abs(np.asarray(chi)) - mpcc_choi(theta)).max(axis=(-2, -1))
+    return defect if np.ndim(defect) else float(defect)

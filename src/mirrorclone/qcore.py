@@ -40,11 +40,13 @@ def check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
 
 
 def check_polar(theta: float, phi: float = 0.0) -> float:
-    """Returns ``theta`` if it is a polar angle in [0, pi] and ``phi`` is finite, else ValueError."""
-    if not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
-        raise ValueError(f"polar angle {theta!r} outside [0, pi]")
+    """Returns ``theta`` as a float if it is a polar angle in [0, pi], not a bool, and ``phi`` is finite.
+
+    Anything else raises ValueError naming the value."""
+    if isinstance(theta, (bool, np.bool_)) or not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
+        raise ValueError(f"polar angle {theta!r} is not a number in [0, pi]")
     check_finite(phi, "azimuth")
-    return theta
+    return float(theta)
 
 
 def check_sequence(values, name: str) -> list:

@@ -280,6 +280,7 @@ def test_circuit_batches_equal_the_lone_route_bit_for_bit(extra, kappa):
         (MPCC_V2_LAYOUT, partial(mpcc_v2_params, kappa=kappa), partial(circuit_mpcc_v2, kappa=kappa)),
     ):
         rows = [params_at(theta) for theta in grid]
+        assert repr(params_at(grid)) == repr(rows)  # the column call gives the lone calls' rows, signed zeros too
         stack = compose_layout(layout, rows)
         assert stack.shape == (len(grid), 8, 8)
         for row, text, theta in zip(stack, layout_text(layout, rows), grid, strict=True):

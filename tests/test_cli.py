@@ -4,8 +4,11 @@ Everything goes through main(argv) so the tests exercise exactly what a
 shell invocation would: argument parsing, file output, exit codes.
 """
 
+import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import string
@@ -199,11 +202,11 @@ _LAYOUTS = st.dictionaries(_KEYS, st.one_of(st.none(), st.integers(1, 8)), min_s
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, scalars=_SCALARS):
     """Rows of one layout, as the subcommands write them: each column a scalar or a tuple of 1-8 scalars."""
     layout = draw(_LAYOUTS)
     return [
-        {key: draw(_SCALARS) if size is None else tuple(draw(_SCALARS) for _ in range(size))
+        {key: draw(scalars) if size is None else tuple(draw(scalars) for _ in range(size))
          for key, size in layout.items()}
         for _ in range(draw(st.integers(1, 6)))
     ]
@@ -220,6 +223,39 @@ def test_json_rows_are_the_bytes_of_json_dumps_with_indent_2(rows, chunk):
     # in encoder chunks of `chunk` rows, so that chunk boundaries fall between any two drawn rows
     with mock.patch.object(cli, "_JSON_CHUNK", chunk):
         assert cli._json_text(rows) == json.dumps(rows, indent=2)
+
+
+# few values, so that columns repeat them and many hold only floats: -0.0 beside 0.0, nan and inf,
+# and 1 beside 1.0 and True, which the writer must keep apart
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 5e-324, math.nan, -math.nan, math.inf, -math.inf])
+_REPEATS = st.one_of(_FLOATS, st.sampled_from([1, True, False, 0, "1.0", None]))
+
+
+def _csv_reference(rows: list[dict]) -> str:
+    """The CSV text of rows, cell by cell: .17g for a float, true/false for a bool, str otherwise."""
+
+    def text(value):
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+    spread = [[v for value in row.values() for v in (value if isinstance(value, tuple) else (value,))] for row in rows]
+    header = [
+        name for key, value in rows[0].items()
+        for name in ([f"{key}_{i}" for i in range(len(value))] if isinstance(value, tuple) else [key])
+    ]
+    return "\n".join([",".join(header), *(",".join(map(text, cells)) for cells in spread)]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(_tables(), _tables(_FLOATS), _tables(_REPEATS)))
+@example(rows=[{"x": -0.0, "y": (1, 1.0, True)}, {"x": 0.0, "y": (1.0, True, 1)}, {"x": -0.0, "y": (True, 1, 1.0)}])
+@example(rows=[{"t": v, "u": 5.0 / 6.0} for v in (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0)])
+def test_csv_rows_are_the_bytes_of_the_per_cell_format(rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_rows(rows, argparse.Namespace(format="csv", output=None))
+    assert out.getvalue() == _csv_reference(rows)
 
 
 @pytest.mark.parametrize("value", [[[1.0]], {"a": 1}, ({},), (1.0, []), [(2, 3)], {}])
@@ -435,7 +471,7 @@ def test_circuits_failure_exits_1(monkeypatch, tmp_path):
 def test_optimize_failure_exits_1(monkeypatch, tmp_path):
     # a closed form moved by 1e-5 at one angle puts that row outside the 1e-6 gap
     real = cli.mpcc_fidelity
-    monkeypatch.setattr(cli, "mpcc_fidelity", lambda theta: real(theta) + (1e-5 if theta == 0.0 else 0.0))
+    monkeypatch.setattr(cli, "mpcc_fidelity", lambda theta: real(theta) + np.where(np.equal(theta, 0.0), 1e-5, 0.0))
     argv = ["optimize", "--theta-max", "0.6", "--steps", "2", "--seeds", "1"]
     assert main([*argv, "--output", str(tmp_path / "o.csv")]) == 1
 

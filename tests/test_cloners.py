@@ -7,10 +7,13 @@ of the isometry output.
 """
 
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorclone.cloners import (
     FIDELITY_MINIMUM_ANGLE,
@@ -176,15 +179,89 @@ def test_fidelity_minimum_is_at_the_named_angle():
 
 
 def test_polar_angle_validation():
-    for bad in (-0.1, math.pi + 0.1, math.nan):
+    for bad in (-0.1, math.pi + 0.1, math.nan, True, np.False_):
         with pytest.raises(ValueError):
             mpcc_params(bad)
         with pytest.raises(ValueError):
             pcc_fidelity(bad)
     for bloch in (mpcc_clone_bloch, pcc_clone_bloch, uc_clone_bloch):
-        for bad_theta, bad_phi in ((-0.1, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        for bad_theta, bad_phi in ((-0.1, 0.0), (math.nan, 0.0), (True, 0.0), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 bloch(bad_theta, bad_phi)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+_BLOCHS = (mpcc_clone_bloch, pcc_clone_bloch, uc_clone_bloch)
+SQRT2 = math.sqrt(2.0)
+
+
+def _scalar_closed_forms(theta, phi):
+    """The closed forms at one angle in Python floats, operation for operation: the oracle for the columns.
+
+    Returns the MpccParams fields, pcc_fidelity and the three Bloch vectors, by name.
+    """
+    cos, sin = math.cos(theta), math.sin(theta)
+    cos_sq, s_sq = math.cos(theta) ** 2, math.sin(theta) ** 2
+    p = 2.0 - 4.0 * cos_sq + 3.0 * cos_sq * cos_sq
+    shift = cos_sq / (2.0 * math.sqrt(p))
+    plus, minus = math.sqrt(0.5 + shift), math.sqrt(max(0.5 - shift, 0.0))
+    lam = plus
+    lam_bar = math.sqrt(max(1.0 - lam * lam, 0.0))
+    a = lam * lam
+    r_eq = SQRT2 * lam * lam_bar * sin
+    s = 1.0 if math.pi - 2.0 * theta >= 0.0 else -1.0
+    return {
+        "theta": theta, "p": p, "candidates": (plus, -plus, minus, -minus), "lam": lam, "lam_bar": lam_bar, "a": a,
+        "b": lam_bar * lam_bar / 2.0, "c": lam * lam_bar / SQRT2,
+        "fidelity": 0.5 * (1.0 + a * cos_sq + SQRT2 * lam * lam_bar * s_sq),
+        "pcc_fidelity": 0.5 * (1.0 + s_sq / SQRT2 + cos * (s + cos) / 2.0),
+        "mpcc_clone_bloch": [r_eq * math.cos(phi), r_eq * math.sin(phi), a * cos],
+        "pcc_clone_bloch": [sin * math.cos(phi) / SQRT2, sin * math.sin(phi) / SQRT2, (s + cos) / 2.0],
+        "uc_clone_bloch": [(2.0 / 3.0) * v for v in (sin * math.cos(phi), sin * math.sin(phi), cos)],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=40), phi=st.floats(-7.0, 7.0))
+@example(thetas=[0.0], phi=0.0)
+@example(thetas=[math.pi / 2], phi=0.9)
+@example(thetas=[math.pi], phi=-1.0)
+@example(thetas=[FIDELITY_MINIMUM_ANGLE], phi=2.5)
+@example(thetas=[math.pi - FIDELITY_MINIMUM_ANGLE], phi=0.0)
+@example(thetas=[5e-324], phi=math.pi)
+@example(thetas=[math.pi - 1e-16], phi=-0.0)
+@example(thetas=[0.0, 5e-324, FIDELITY_MINIMUM_ANGLE, math.pi / 2, math.pi - 1e-16, math.pi], phi=1.3)
+def test_column_closed_forms_equal_the_lone_calls_bit_for_bit(thetas, phi):
+    for column in (thetas, np.array(thetas)):
+        pr, f_pcc = mpcc_params(column), pcc_fidelity(column)
+        vectors = [bloch(column, phi) for bloch in _BLOCHS]
+        assert f_pcc.shape == (len(thetas),) and all(v.shape == (len(thetas), 3) for v in vectors)
+        for i, theta in enumerate(thetas):
+            lone, want = mpcc_params(theta), _scalar_closed_forms(theta, phi)
+            for name, value in vars(lone).items():  # every field, fidelity among them
+                if name == "candidates":
+                    assert all(type(v) is float for v in value)
+                    assert _bits(value) == _bits([c[i] for c in pr.candidates])
+                else:
+                    assert type(value) is float and _bits(value) == _bits(getattr(pr, name)[i]), name
+                assert _bits(value) == _bits(want[name]), name
+            assert type(pcc_fidelity(theta)) is float
+            assert _bits(pcc_fidelity(theta)) == _bits(f_pcc[i]) == _bits(want["pcc_fidelity"])
+            for bloch, stack in zip(_BLOCHS, vectors):
+                assert _bits(bloch(theta, phi)) == _bits(stack[i]) == _bits(want[bloch.__name__]), bloch.__name__
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, math.pi + 1e-9, True, np.True_])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_bad_angle_anywhere_in_a_column_raises_naming_it(bad, position):
+    column = [0.3, 1.0, FIDELITY_MINIMUM_ANGLE, 2.5, math.pi]
+    column[position] = bad
+    for call in (mpcc_params, pcc_fidelity, *(partial(bloch, phi=0.4) for bloch in _BLOCHS)):
+        with pytest.raises(ValueError, match=re.escape(f"polar angle {bad!r} ")):
+            call(column)
 
 
 @pytest.mark.parametrize(

@@ -59,8 +59,10 @@ def test_prior_constructors():
 
 
 def test_prior_validation():
-    with pytest.raises(ValueError):
-        PriorDistribution.mirror(-0.2)
+    for bad in (-0.2, True):
+        with pytest.raises(ValueError):
+            PriorDistribution.mirror(bad)
+    assert [type(angle) for angle, _ in PriorDistribution.mirror(np.float64(0.5)).atoms] == [float, float]
     with pytest.raises(ValueError):
         PriorDistribution.phase_covariant(math.pi + 0.2)
     for atoms in (

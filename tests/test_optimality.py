@@ -159,9 +159,12 @@ def test_certificate_batch_equals_the_per_angle_loop_bit_for_bit(extra, seed):
 
 def test_certificate_batch_edge_cases():
     assert certificate_batch([]) == []
-    for bad in ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"], 0.5, None):
+    for bad in ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"], 0.5, None, [True], [0.5, np.True_]):
         with pytest.raises(ValueError):
             certificate_batch(bad)
+    # records carry Python floats, whatever number type each angle came as
+    for thetas in (np.array([0.5, 1.0]), [np.float64(0.5), 1]):
+        assert [type(cert.theta) for cert in certificate_batch(thetas)] == [float, float]
 
 
 def test_certificate_spectrum_is_doubly_degenerate():
