@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -42,7 +42,7 @@ _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # rows per template fill of the JSON writer: at certify --steps 100001 the writer then peaks below
 # certificate_batch (403 MB RSS), where one fill of all rows peaks at 429 MB
 _JSON_CHUNK = 500
-# grid caps: every subcommand holds one Python dict per row, circuits also (N, 8, 8)
+# grid caps: every subcommand holds its table's columns and each cell's text, circuits also (N, 8, 8)
 # unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 18 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
@@ -78,21 +78,6 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _layout(row: dict) -> tuple[str, str]:
-    """CSV header and JSON %-template of every row with ``row``'s keys and tuple lengths.
-
-    A tuple value becomes the CSV columns name_0, name_1, ...; the template
-    lays one row out as json.dumps(rows, indent=2) does.
-    """
-    names, items = [], []
-    for key, value in row.items():
-        size = len(value) if isinstance(value, tuple) else None
-        names += [key] if size is None else [f"{key}_{i}" for i in range(size)]
-        value = "%s" if size is None else "[\n" + ",\n".join(["      %s"] * size) + "\n    ]"
-        items.append(f"    {json.dumps(key)}: {value}")
-    return ",".join(names), "  {\n" + ",\n".join(items) + "\n  }"
-
-
 def _encode(values: list, fmt: str) -> list[str]:
     """The CSV or JSON text of each value.
 
@@ -106,58 +91,61 @@ def _encode(values: list, fmt: str) -> list[str]:
     body = json.dumps(values, separators=("\n", ":"))[1:-1]
     # an encoded container opens with a bracket, and only a container cell can
     if body.startswith(("[", "{")) or "\n[" in body or "\n{" in body:
-        raise TypeError("a row value is neither a scalar nor a flat tuple of scalars")
+        raise TypeError("a cell is neither a scalar nor a flat tuple of scalars")
     return body.split("\n")
 
 
-def _column_texts(rows: list[dict], fmt: str) -> list[list[str]]:
-    """The text of every cell of rows of one layout, column by column, each tuple value spread into its own columns.
+def _table(columns: dict, fmt: str) -> tuple[str, str, list[list[str]]]:
+    """CSV header, JSON %-template of one row, and every cell's text, column by column, of named columns.
 
-    The float columns encode each distinct float of the table once, so each
-    of a column's too.  Distinct means distinct bits, so -0.0 and 0.0 stay
-    apart; a column with any cell whose type is not float (a bool's never is)
-    is encoded cell by cell, so 1, 1.0 and True stay apart too.
+    A column is a list or a 1-D array of scalars; a column of tuples spreads
+    into the columns name_0, name_1, ...  The template lays one row out as
+    json.dumps(rows, indent=2) does.  The float columns encode each distinct
+    float of the table once, so each of a column's too.  Distinct means
+    distinct bits, so -0.0 and 0.0 stay apart; a column with any cell whose
+    type is not float (a bool's never is) is encoded cell by cell, so 1, 1.0
+    and True stay apart too.
     """
-    columns = []
-    for key, first in rows[0].items():
-        column = [row[key] for row in rows]
-        columns += zip(*column) if isinstance(first, tuple) else [column]
-    floats = [set(map(type, cells)) == {float} for cells in columns]
+    names, items, cells = [], [], []
+    for key, column in columns.items():
+        column = column.tolist() if isinstance(column, np.ndarray) else column
+        spread = list(zip(*column, strict=True)) if isinstance(column[0], tuple) else None
+        names += [key] if spread is None else [f"{key}_{i}" for i in range(len(spread))]
+        value = "%s" if spread is None else "[\n" + ",\n".join(["      %s"] * len(spread)) + "\n    ]"
+        items.append(f"    {json.dumps(key)}: {value}")
+        cells += [column] if spread is None else spread
+    floats = [set(map(type, c)) == {float} for c in cells]
     # the bits of every float column at once: each distinct one is encoded once, then indexed per cell
-    bits, inverse = np.unique(np.array([c for c, f in zip(columns, floats) if f]).view(np.int64), return_inverse=True)
-    texts, indices = np.array(_encode(bits.view(np.float64).tolist(), fmt), dtype=object), iter(inverse)
-    return [texts[next(indices)].tolist() if f else _encode(list(c), fmt) for c, f in zip(columns, floats)]
+    bits, inverse = np.unique(np.array([c for c, f in zip(cells, floats) if f]).view(np.int64), return_inverse=True)
+    distinct, indices = np.array(_encode(bits.view(np.float64).tolist(), fmt), dtype=object), iter(inverse)
+    texts = [distinct[next(indices)].tolist() if f else _encode(list(c), fmt) for c, f in zip(cells, floats)]
+    return ",".join(names), "  {\n" + ",\n".join(items) + "\n  }", texts
 
 
-def _json_text(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2) of rows of one layout, _JSON_CHUNK rows at a time filled into the template."""
-    template, texts, parts = _layout(rows[0])[1], _column_texts(rows, "json"), []
-    for start in range(0, len(rows), _JSON_CHUNK):
-        cells = chain.from_iterable(zip(*(column[start : start + _JSON_CHUNK] for column in texts)))
-        parts.append(",\n".join([template] * min(_JSON_CHUNK, len(rows) - start)) % tuple(cells))
-    del texts  # every cell's text, let go before the join copies the parts
+def _json_text(columns: dict) -> str:
+    """json.dumps(rows, indent=2) of the table's rows, _JSON_CHUNK rows at a time filled into the template."""
+    _, template, texts = _table(columns, "json")
+    rows, parts = zip(*texts, strict=True), []  # a column shorter than the others raises ValueError
+    while chunk := list(islice(rows, _JSON_CHUNK)):
+        parts.append(",\n".join([template] * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    del texts, rows  # every cell's text, let go before the join copies the parts
     parts[0] = "[\n" + parts[0]
     parts[-1] += "\n]"
     return ",\n".join(parts)
 
 
-def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
-    """Write rows of one layout to stdout or args.output; CSV columns follow the row keys."""
+def _write_table(columns: dict, args: argparse.Namespace) -> None:
+    """Write named columns of equal length as rows to stdout or args.output; CSV columns follow the names."""
     if args.format == "csv":
-        text = "\n".join([_layout(rows[0])[0], *map(",".join, zip(*_column_texts(rows, "csv"))), ""])
+        header, _, texts = _table(columns, "csv")
+        text = "\n".join([header, *map(",".join, zip(*texts, strict=True)), ""])
     else:
-        text = _json_text(rows) + "\n"
+        text = _json_text(columns) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _rows(columns: dict) -> list[dict]:
-    """One row per angle from named columns of equal length (lists, or arrays of floats)."""
-    values = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -168,7 +156,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ArithmeticError(f"fidelity outside [1/2, 1] at theta={grid[bad.argmax()]!r}")
     columns = {"theta": grid, "F_mpcc": pr.fidelity, "F_pcc": f_pcc, "F_uc": [uc_fidelity(2)] * len(grid),
                "Lambda": pr.lam, "A": pr.a, "B": pr.b, "C": pr.c}
-    _write_rows(_rows(columns), args)
+    _write_table(columns, args)
     return 0
 
 
@@ -182,13 +170,13 @@ def cmd_bloch(args: argparse.Namespace) -> int:
         # vecdot takes each row's dot product as vector @ plane does, bit for bit; a matrix product need not
         columns[f"rx_{name}"], columns[f"rz_{name}"] = np.vecdot(vectors, plane), vectors[:, 2]
     columns["rx_perfect"], columns["rz_perfect"] = [math.sin(t) for t in grid], [math.cos(t) for t in grid]
-    _write_rows(_rows(columns), args)
+    _write_table(columns, args)
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
     certs = certificate_batch(check_grid(args))
-    _write_rows([vars(cert) for cert in certs], args)
+    _write_table({name: [getattr(cert, name) for cert in certs] for name in vars(certs[0])}, args)
     ok = [c.psd_ok and c.saturation_ok and c.fidelity_identity_residual <= CERTIFY_TOL for c in certs]
     if not all(ok):
         failed = (f"{c.theta:.17g}" for c, good in zip(certs, ok) if not good)
@@ -215,19 +203,17 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         equal, residuals[name] = equal_up_to_global_phase(outputs, targets)
         ok = ok and bool(equal.all())
     del params, inputs, starts, targets, outputs  # let go before the rows: about 40 MB at 20,001 steps
-    rows = [
-        {"theta": theta, "variant": name, "input": idx, "residual": residual}
-        for theta, per_angle in zip(grid, np.stack(list(residuals.values()), axis=-1).tolist())
-        for idx, per_input in enumerate(per_angle)
-        for name, residual in zip(residuals, per_input)
-    ]
+    stack = np.stack(list(residuals.values()), axis=-1)  # one residual per (angle, input, variant), in row order
+    angle, index, variant = np.indices(stack.shape).reshape(3, -1)
+    columns = {"theta": np.take(grid, angle), "variant": np.take(list(residuals), variant), "input": index,
+               "residual": stack.ravel()}
     if args.dump is None:
-        _write_rows(rows, args)
+        _write_table(columns, args)
     else:
         # opened first, so a bad dump path writes no rows, and filled last, so
         # a bad --output leaves it empty
         with open(args.dump, "w", encoding="utf-8", newline="\n") as fh:
-            _write_rows(rows, args)
+            _write_table(columns, args)
             fh.write("\n".join(chunk for per_angle in zip(*dumps) for chunk in per_angle))
     return 0 if ok else 1
 
@@ -249,7 +235,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     columns = {"theta": grid, "F_star": f_star, "F_mpcc": f_ref, "gap": gap,
                "pattern_defect": choi_pattern_defect(np.array([r.chi_star for r in best]), grid),
                "iterations": [r.iterations for r in best], "converged": [r.converged for r in best]}
-    _write_rows(_rows(columns), args)
+    _write_table(columns, args)
     return 1 if (np.abs(gap) > GAP_TOL).any() else 0
 
 

@@ -20,9 +20,9 @@ ATOL = 1e-12
 
 
 def check_finite(value, name: str):
-    """Returns ``value`` unchanged if it is a finite real number, else ValueError naming it."""
+    """Returns ``value`` unchanged if it is a finite real number and not a bool, else ValueError naming it."""
     try:
-        if math.isfinite(value):
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
             return value
     except (TypeError, OverflowError):  # not a real number, or an int past the float range
         pass
@@ -40,10 +40,10 @@ def check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
 
 
 def check_polar(theta: float, phi: float = 0.0) -> float:
-    """Returns ``theta`` as a float if it is a polar angle in [0, pi], not a bool, and ``phi`` is finite.
+    """Returns ``theta`` as a float if it is a polar angle in [0, pi] and ``phi`` is finite (check_finite).
 
     Anything else raises ValueError naming the value."""
-    if isinstance(theta, (bool, np.bool_)) or not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
+    if not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
         raise ValueError(f"polar angle {theta!r} is not a number in [0, pi]")
     check_finite(phi, "azimuth")
     return float(theta)

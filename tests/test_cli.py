@@ -201,6 +201,19 @@ _KEYS = st.one_of(
 _LAYOUTS = st.dictionaries(_KEYS, st.one_of(st.none(), st.integers(1, 8)), min_size=1, max_size=5)
 
 
+def _columns(rows: list[dict]) -> dict:
+    """The named columns of rows of one layout, as a subcommand hands them to the writer."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+def _written(columns: dict, fmt: str) -> str:
+    """What the writer prints for named columns in format fmt."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_table(columns, argparse.Namespace(format=fmt, output=None))
+    return out.getvalue()
+
+
 @st.composite
 def _tables(draw, scalars=_SCALARS):
     """Rows of one layout, as the subcommands write them: each column a scalar or a tuple of 1-8 scalars."""
@@ -219,10 +232,10 @@ def _tables(draw, scalars=_SCALARS):
 @example(rows=[{"t": (i, -0.0), "ok": i % 3 == 0} for i in range(cli._JSON_CHUNK + 2)], chunk=6)
 def test_json_rows_are_the_bytes_of_json_dumps_with_indent_2(rows, chunk):
     # the last example crosses the writer's own chunk boundary
-    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    assert cli._json_text(_columns(rows)) == json.dumps(rows, indent=2)
     # in encoder chunks of `chunk` rows, so that chunk boundaries fall between any two drawn rows
     with mock.patch.object(cli, "_JSON_CHUNK", chunk):
-        assert cli._json_text(rows) == json.dumps(rows, indent=2)
+        assert cli._json_text(_columns(rows)) == json.dumps(rows, indent=2)
 
 
 # few values, so that columns repeat them and many hold only floats: -0.0 beside 0.0, nan and inf,
@@ -252,16 +265,41 @@ def _csv_reference(rows: list[dict]) -> str:
 @example(rows=[{"x": -0.0, "y": (1, 1.0, True)}, {"x": 0.0, "y": (1.0, True, 1)}, {"x": -0.0, "y": (True, 1, 1.0)}])
 @example(rows=[{"t": v, "u": 5.0 / 6.0} for v in (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0)])
 def test_csv_rows_are_the_bytes_of_the_per_cell_format(rows):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._write_rows(rows, argparse.Namespace(format="csv", output=None))
-    assert out.getvalue() == _csv_reference(rows)
+    assert _written(_columns(rows), "csv") == _csv_reference(rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_array_columns_write_as_their_lists(fmt):
+    # as cmd_sweep, cmd_bloch, cmd_circuits and cmd_optimize hand them over: a bool
+    # array cell is an np.bool_, which CSV would print as True and JSON would refuse
+    for column in (np.array([0.5, -0.0, 0.5, math.nan, 1e300]), np.array([3, -1, 0, 2**40]),
+                   np.array([True, False, True])):
+        rows = [{"x": value} for value in column.tolist()]
+        want = _csv_reference(rows) if fmt == "csv" else json.dumps(rows, indent=2) + "\n"
+        assert _written({"x": column}, fmt) == _written({"x": column.tolist()}, fmt) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"x": [0.5, 1.0], "y": [1.0]},
+        {"x": [0.5], "y": ["a", "b"]},  # a short first column must not cut the table short
+        {"x": ["a", "b"], "y": np.array([True])},
+        {"x": np.arange(4.0), "t": [(1.0, 2.0)] * 3},
+        {"t": [(1.0, 2.0), (3.0,)]},  # tuples of unequal length
+    ],
+)
+def test_ragged_columns_raise(columns, fmt):
+    with mock.patch.object(cli, "_JSON_CHUNK", 1):
+        with pytest.raises(ValueError):
+            _written(columns, fmt)
 
 
 @pytest.mark.parametrize("value", [[[1.0]], {"a": 1}, ({},), (1.0, []), [(2, 3)], {}])
 def test_json_rows_refuse_a_nested_container(value):
     with pytest.raises(TypeError, match="flat tuple of scalars"):
-        cli._json_text([{"theta": 0.5, "cell": value}])
+        cli._json_text(_columns([{"theta": 0.5, "cell": value}]))
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirrorclone
-from mirrorclone.circuits import equal_up_to_global_phase
+from mirrorclone.circuits import Gate, eqneighbor_propagator, equal_up_to_global_phase
 from mirrorclone.cli import main
-from mirrorclone.cloners import clone, mpcc_choi, uc_choi, uc_fidelity
-from mirrorclone.fidelity import PriorDistribution, average_fidelity, score_operator
+from mirrorclone.cloners import clone, mpcc_choi, mpcc_clone_bloch, uc_choi, uc_fidelity
+from mirrorclone.fidelity import PriorDistribution, average_fidelity, mirror_scores, score_operator
 from mirrorclone.optimality import optimize_batch, optimize_map
 from mirrorclone.qcore import (
     ID2,
@@ -247,6 +247,26 @@ _SCORE = score_operator(PriorDistribution.mirror(1.0))
 def test_integer_inputs_reject_bools_floats_and_out_of_range(call, name):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+@pytest.mark.parametrize("bad", [True, np.True_])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: optimize_map(mirror_scores([1.0])[0], tol=bad),
+        lambda bad: PriorDistribution(((0.5, bad),)),
+        lambda bad: mpcc_clone_bloch(0.5, bad),
+        lambda bad: Gate("ROTY", (1,), (bad,)),
+        lambda bad: eqneighbor_propagator(1.0, bad),
+    ],
+    ids=["optimize_map tol", "PriorDistribution weight", "mpcc_clone_bloch phi", "Gate param",
+         "eqneighbor_propagator kappa"],
+)
+def test_real_inputs_reject_bools(call, bad):
+    # a bool is no real number: tol=True would otherwise stop optimize_map after one iteration;
+    # eqneighbor_propagator names its rates as Python scalars, so np.True_ as True
+    with pytest.raises(ValueError, match=r"True_? is not finite or not a real number"):
+        call(bad)
 
 
 @pytest.mark.parametrize(
