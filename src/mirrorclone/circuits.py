@@ -241,11 +241,10 @@ def circuit_mpcc_v2(theta: float, kappa: float = 1.0) -> Circuit:
     return _circuit(MPCC_V2_LAYOUT, mpcc_v2_params(theta, kappa))
 
 
-# each variant's (kind, qubits) pairs in application order, and by name with its params function
+# each variant's (kind, qubits) pairs in application order
 MPCC_V1_LAYOUT = (("ROTY", (3,)), ("CH", (3, 2)), ("CNOT", (1, 3)), ("CNOT", (2, 1)), ("CNOT", (3, 2)))
 MPCC_V2_LAYOUT = (("CNOT", (1, 2)), ("CNOT", (1, 3)), ("NOT", (3,)), ("EVOLVE", (1, 2, 3)),
                   ("CCR", (1, 2, 3)), ("CCR0", (1, 2, 3)), ("NOT", (3,)))
-MPCC_VARIANTS = {"v1": (MPCC_V1_LAYOUT, mpcc_v1_params), "v2": (MPCC_V2_LAYOUT, mpcc_v2_params)}
 
 
 def _circuit(layout, params) -> Circuit:
@@ -258,9 +257,11 @@ def _check_rows(layout, rows) -> tuple[list, list]:
     try:  # Gate checks the layout against the first row, and every row must have that row's lengths
         layout, rows = check_sequence(layout, "layout"), [list(r) for r in rows]
         shape = [len(g.params) for g in _circuit(layout, rows[0]).gates]
-        if all(list(map(len, r)) == shape and all(math.isfinite(v) for p in r for v in p) for r in rows):
+        if all(list(map(len, r)) == shape for r in rows):
+            for v in (v for r in rows[1:] for p in r for v in p):
+                check_finite(v, "gate parameter")  # the check Gate makes of the first row's
             return layout, rows
-    except (TypeError, IndexError, OverflowError):  # no row, or a row, layout entry or value of the wrong type
+    except (TypeError, IndexError):  # no row, or a row or layout entry of the wrong type
         pass
     raise ValueError("need one or more rows of finite params, one tuple per gate of the layout")
 

@@ -18,7 +18,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .circuits import MPCC_VARIANTS, compose_layout, equal_up_to_global_phase, layout_text
+from .circuits import MPCC_V1_LAYOUT, MPCC_V2_LAYOUT, compose_layout, equal_up_to_global_phase, layout_text
+from .circuits import mpcc_v1_params, mpcc_v2_params
 from .cloners import (
     FIDELITY_MINIMUM_ANGLE,
     mpcc_fidelity,
@@ -194,7 +195,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     starts[..., [0, 4]] = inputs  # |q 0 0>
     targets = mpcc_isometry_apply(np.array(grid)[:, None], inputs)
     residuals, dumps, ok = {}, [], True
-    for name, (layout, params_at) in MPCC_VARIANTS.items():
+    for name, layout, params_at in (("v1", MPCC_V1_LAYOUT, mpcc_v1_params), ("v2", MPCC_V2_LAYOUT, mpcc_v2_params)):
         params = params_at(grid)
         if args.dump is not None:
             texts = layout_text(layout, params)

@@ -71,15 +71,6 @@ def _fit(lone: bool, column: np.ndarray):
     return column if not lone else column[0] if column.ndim > 1 else column.item()
 
 
-def _amplitude_fidelity(s_sq, lam):
-    """Mean clone fidelity of the mirror-symmetric isometry with amplitude lam, unchecked.
-
-    F = (1 + lam^2)/2 - s_sq * (lam^2 - lam*sqrt(2 - 2*lam^2)) / 2, with s_sq = sin(theta)^2
-    """
-    lam_bar_sq = np.maximum(1.0 - lam * lam, 0.0)
-    return (1.0 + lam * lam) / 2.0 - 0.5 * s_sq * (lam * lam - lam * np.sqrt(2.0 * lam_bar_sq))
-
-
 def mpcc_params(theta) -> MpccParams:
     """Solve the stationarity quartic and select the optimal amplitude, at one angle or a column of them.
 
@@ -102,19 +93,17 @@ def _mpcc_params(lone: bool, theta, cos_sq, s_sq) -> MpccParams:
     plus = np.sqrt(0.5 + shift)
     minus = np.sqrt(np.maximum(0.5 - shift, 0.0))
     candidates = (plus, -plus, minus, -minus)
-    lam = candidates[0]
-    values = _amplitude_fidelity(s_sq, np.stack(candidates))
+    lam = np.stack(candidates)  # the candidates as rows: F of each at once, for the argmax check
+    lam_bar = np.sqrt(np.maximum(1.0 - lam * lam, 0.0))
+    values = 0.5 * (1.0 + lam * lam * cos_sq + SQRT2 * lam * lam_bar * s_sq)
     failed = values.max(axis=0) - values[0] > 1e-12
     if failed.any():
         raise ArithmeticError(
             f"amplitude selection failed at theta={theta[failed][0].item()!r}: "
             f"first stationary point is not the maximizer"
         )
-    lam_bar = np.sqrt(np.maximum(1.0 - lam * lam, 0.0))
-    a = lam * lam
-    b = lam_bar * lam_bar / 2.0
-    c = lam * lam_bar / SQRT2
-    fidelity = 0.5 * (1.0 + a * cos_sq + SQRT2 * lam * lam_bar * s_sq)
+    lam, lam_bar, fidelity = lam[0].copy(), lam_bar[0].copy(), values[0].copy()  # no (4, N) stack outlives the call
+    a, b, c = lam * lam, lam_bar * lam_bar / 2.0, lam * lam_bar / SQRT2
     fit = partial(_fit, lone)
     return MpccParams(fit(theta), fit(p), tuple(map(fit, candidates)), *map(fit, (lam, lam_bar, a, b, c, fidelity)))
 

@@ -108,10 +108,17 @@ def r_theta(theta: float) -> np.ndarray:
     return _atom_scores([check_polar(theta)])[0]
 
 
+def _atoms(prior: PriorDistribution) -> tuple:
+    """The atoms of ``prior`` if it is a PriorDistribution, else ValueError naming it."""
+    if isinstance(prior, PriorDistribution):
+        return prior.atoms
+    raise ValueError(f"prior {prior!r} is not a PriorDistribution")
+
+
 def score_operator(prior: PriorDistribution) -> np.ndarray:
     """Score operator of a prior, assembled from the closed-form atoms."""
     out = np.zeros((8, 8))
-    angles, weights = zip(*prior.atoms)
+    angles, weights = zip(*_atoms(prior))
     for weight, r in zip(weights, _atom_scores(angles)):
         out += weight * r
     return out
@@ -126,7 +133,7 @@ def mirror_scores(thetas) -> np.ndarray:
 def _prior_average(prior: PriorDistribution, fn):
     """Mean of fn(psi) over the prior's atoms and the azimuth ring of each."""
     total = 0.0
-    for angle, weight in prior.atoms:
+    for angle, weight in _atoms(prior):
         for k in range(_N_PHI):
             total += (weight / _N_PHI) * fn(ket_from_angles(angle, _TWO_PI * k / _N_PHI))
     return total

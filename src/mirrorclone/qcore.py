@@ -39,13 +39,10 @@ def check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
     raise ValueError(f"{name} {value!r} is not an integer {span}")
 
 
-def check_polar(theta: float, phi: float = 0.0) -> float:
-    """Returns ``theta`` as a float if it is a polar angle in [0, pi] and ``phi`` is finite (check_finite).
-
-    Anything else raises ValueError naming the value."""
+def check_polar(theta: float) -> float:
+    """Returns ``theta`` as a float if it is a polar angle in [0, pi], else ValueError naming it."""
     if not 0.0 <= check_finite(theta, "polar angle") <= math.pi:
         raise ValueError(f"polar angle {theta!r} is not a number in [0, pi]")
-    check_finite(phi, "azimuth")
     return float(theta)
 
 
@@ -142,14 +139,14 @@ def check_state(psi: np.ndarray, size: int | None = None) -> np.ndarray:
 def check_choi(chi: np.ndarray) -> np.ndarray:
     """Validate that chi is a completely positive trace-preserving process.
 
-    Checks that the entries are finite, Hermiticity to 1e-12, positivity
+    Checks that the entries are finite numbers, Hermiticity to 1e-12, positivity
     of the spectrum down to -1e-10, and that the partial trace over both
     clones is the identity on the input to 1e-10.  Leading axes of chi
     are a nonempty stack: every matrix in it must pass, and the worst is reported.
     """
     chi = np.asarray(chi)
-    if chi.shape[-2:] != (8, 8) or chi.size == 0:
-        raise ValueError("process matrix must be 8x8, or a nonempty stack of them")
+    if chi.shape[-2:] != (8, 8) or chi.size == 0 or not np.issubdtype(chi.dtype, np.number):
+        raise ValueError(f"process matrix must be 8x8 numbers or a nonempty stack of them, not {chi.dtype} {chi.shape}")
     if not np.isfinite(chi).all():
         raise ValueError("process matrix has non-finite entries")
     herm = float(np.abs(chi - chi.conj().swapaxes(-1, -2)).max())

@@ -299,6 +299,8 @@ def test_composer_and_writer_reject_rows_that_do_not_fit_the_layout():
         (MPCC_V1_LAYOUT, [good, ((math.nan,), (), (), (), ())]),
         (MPCC_V1_LAYOUT, [good, (("0.1",), (), (), (), ())]),
         (MPCC_V1_LAYOUT, [good, ((10**400,), (), (), (), ())]),  # an int past the float range
+        (MPCC_V1_LAYOUT, [good, ((True,), (), (), (), ())]),  # a bool, refused in a later row as in the first
+        (MPCC_V1_LAYOUT, [good, ((np.True_,), (), (), (), ())]),
         (MPCC_V1_LAYOUT, [good, 3]),
         (MPCC_V2_LAYOUT, [good]),  # another variant's row
         ((("BAD", (1,)),), [((),)]),  # an unknown kind

@@ -7,6 +7,7 @@ pushing sampled states through the channel directly.
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ def test_prior_validation():
     for atoms, named in ((5, "atoms 5 "), ((("a", 1.0),), "atom ('a', 1.0) "), (((1.0,),), "atom (1.0,) ")):
         with pytest.raises(ValueError, match=re.escape(named)):
             PriorDistribution(atoms)
+    # a non-prior where a prior belongs: ValueError naming it, not AttributeError on .atoms
+    for call, named in (
+        (partial(score_operator, "x"), "prior 'x' "),
+        (partial(score_operator_quadrature, None), "prior None "),
+        (partial(average_fidelity_direct, mpcc_choi(0.5), ((0.5, 1.0),)), "prior ((0.5, 1.0),) "),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call()
 
 
 # --- score operators ------------------------------------------------------

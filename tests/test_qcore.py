@@ -313,6 +313,14 @@ def test_stacked_check_choi():
         average_fidelity(good, _SCORE)
 
 
+def test_check_choi_and_its_users_reject_non_numeric_arrays():
+    # ValueError, as check_state and check_scores give, not np.isfinite's TypeError
+    for bad in (np.full((8, 8), None), np.full((8, 8), "0.125")):
+        for call in (check_choi, partial(clone, np.array([1.0, 0.0])), partial(average_fidelity, score=_SCORE)):
+            with pytest.raises(ValueError, match="process matrix must be 8x8 numbers"):
+                call(bad)
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
     private = []
     for path in sorted(Path(mirrorclone.__file__).parent.glob("*.py")):
