@@ -44,7 +44,7 @@ _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # certificate_batch (403 MB RSS), where one fill of all rows peaks at 429 MB
 _JSON_CHUNK = 500
 # grid caps: every subcommand holds its table's columns and each cell's text, circuits also (N, 8, 8)
-# unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 18 kB each
+# unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 27 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 

@@ -12,9 +12,9 @@ fixed-point map chi -> Linv (R chi R) Linv with L = sqrt(Tr_out(R chi R))
 tensor id, which preserves feasibility and climbs the fidelity
 functional.  It carries a Kraus factor K of chi = K K^dagger, steps
 K -> Linv R K, and accelerates the iteration with a safeguarded
-Anderson(1) mix of the last two steps (Walker & Ni, SIAM J. Numer. Anal.
-49, 1715 (2011)).  The start K is a complex Ginibre draw rescaled to
-trace preservation.
+depth-3 Anderson mix of the last four steps (Walker & Ni, SIAM J. Numer.
+Anal. 49, 1715 (2011)).  The start K is a complex Ginibre draw rescaled
+to trace preservation.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ SATURATION_TOL = 1e-10
 MAX_ITER = 4000
 _EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
+_DEPTH = 3  # Anderson history: the differences of the last four plain steps and of their residuals
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _trace_preserving(k: np.ndarray) -> np.ndarray:
     a QR factorization folds the sixteen columns back into eight.
     """
     rows = k.reshape(-1, 2, 32)  # row i holds the entries of input index i
-    h = rows @ rows.conj().swapaxes(1, 2)
+    h = np.vecdot(rows[:, None], rows[:, :, None])  # h[i, j] = rows[i] . conj(rows[j])
     h00, h11 = h[:, :1, :1].real, h[:, 1:, 1:].real  # shaped (N, 1, 1) to broadcast
     tr = h00 + h11
     s = np.sqrt(np.maximum(h00 * h11 - (h[:, :1, 1:] * h[:, 1:, :1]).real, 0.0))
@@ -167,9 +168,14 @@ def _trace_preserving(k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real(a: np.ndarray) -> np.ndarray:
+    """An (N, 8, 8) complex stack as (N, 128) real vectors, a view: Re Tr(a^dagger b) is their dot product."""
+    return a.view(np.float64).reshape(-1, 128)
+
+
 def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(a^dagger b) for each pair in two (N, 8, 8) stacks."""
-    return (a.conj() * b).real.sum(axis=(1, 2))
+    return np.vecdot(_real(a), _real(b))
 
 
 def _ginibre(rng: np.random.Generator) -> np.ndarray:
@@ -222,19 +228,25 @@ def optimize_batch(
     history = [[v] for v in f.tolist()]
 
     active = np.arange(n)
+    d_g, d_r = np.zeros((2, n, _DEPTH, 128))  # ring buffers of the last differences, zeros until filled
     for step in range(max_iter):
         g = _trace_preserving(rk)  # the plain step, chi -> L (R chi R) L
         rg = score @ g
         f_new = _overlap(g, rg)
-        r = g - k
+        g_vec = _real(g)
+        r = g_vec - _real(k)
         k_next, rk_next = g, rg
         if step:
-            # Anderson(1): mix the last two plain steps so that their
-            # residuals cancel best, and keep the mix only where it scores higher
-            dr = r - r_prev
-            dr2 = _overlap(dr, dr)
-            gamma = np.divide(_overlap(dr, r), dr2, out=np.zeros_like(dr2), where=dr2 > 0.0)
-            mix = _trace_preserving(g - gamma[:, None, None] * (g - g_prev))
+            # depth-3 Anderson: mix the last four plain steps so that their residuals
+            # cancel best in least squares, and keep the mix only where it scores higher
+            slot = (step - 1) % _DEPTH
+            d_g[:, slot], d_r[:, slot] = g_vec - g_prev, r - r_prev
+            gram = np.vecdot(d_r[:, :, None], d_r[:, None])
+            # Tikhonov term: collinear differences stay solvable, and an empty slot gets gamma = 0
+            gram[:, range(_DEPTH), range(_DEPTH)] += 1e-12 * np.trace(gram, axis1=1, axis2=2)[:, None] + 1e-300
+            gamma = np.linalg.solve(gram, np.vecdot(d_r, r[:, None])[..., None])
+            mix = (g_vec - (gamma.swapaxes(1, 2) @ d_g)[:, 0]).view(np.complex128).reshape(-1, 8, 8)
+            mix = _trace_preserving(mix)
             r_mix = score @ mix
             f_mix = _overlap(mix, r_mix)
             take = f_mix > f_new
@@ -242,7 +254,7 @@ def optimize_batch(
             rk_next = np.where(take[:, None, None], r_mix, rg)
             f_new = np.where(take, f_mix, f_new)
         change = np.abs(f_new - f)
-        k, rk, f, g_prev, r_prev = k_next, rk_next, f_new, g, r
+        k, rk, f, g_prev, r_prev = k_next, rk_next, f_new, g_vec, r
         for j, v in zip(active.tolist(), f_new.tolist()):
             history[j].append(v)
         better = f_new > best_f[active]
@@ -252,7 +264,7 @@ def optimize_batch(
         if done.any():
             keep = ~done
             active, score, k, rk, f = active[keep], score[keep], k[keep], rk[keep], f[keep]
-            g_prev, r_prev = g_prev[keep], r_prev[keep]
+            g_prev, r_prev, d_g, d_r = g_prev[keep], r_prev[keep], d_g[keep], d_r[keep]
             if not active.size:
                 break
 
@@ -282,8 +294,8 @@ def optimize_map(
     returns, carried as its rescaled Ginibre Kraus factor, and stops when
     the per-iteration fidelity change drops below tol.  Each step
     applies the map to a Kraus factor of the iterate and rescales it to
-    trace preservation; from the second step on it also rescales an
-    Anderson(1) mix of the last two steps and keeps whichever of the two
+    trace preservation; from the second step on it also rescales a depth-3
+    Anderson mix of the last four steps and keeps whichever of the two
     scores higher, so every iterate is a channel.  check_choi certifies the
     returned channel.  The score must be a finite Hermitian PSD nonzero
     8x8 matrix, else ValueError.  One run of optimize_batch, which steps

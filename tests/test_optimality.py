@@ -230,12 +230,12 @@ def test_optimizer_contract_in_the_slow_convergence_band():
     # hardest measured case: near theta = 0.31 the plain fixed-point step
     # gains a factor 1 - 5e-5 per iteration, and this start was still 1.4e-6
     # short after 20000 of them.  The accelerated iteration stops on its
-    # step test within a few hundred iterations, inside the accuracy promise.
+    # step test within a few dozen iterations, inside the accuracy promise.
     theta = 0.31
     score = score_operator(PriorDistribution.mirror(theta))
     res = optimize_map(score, seed=9)
     assert res.converged
-    assert res.iterations <= 500
+    assert res.iterations <= 60
     assert abs(res.f_star - mpcc_fidelity(theta)) <= 1e-7
 
 
@@ -249,12 +249,12 @@ SLOW_BAND_RUNS = [
 ]
 
 
-def test_slow_band_runs_converge_in_a_few_hundred_iterations():
+def test_slow_band_runs_converge_in_a_few_dozen_iterations():
     slow = []
     for theta, seed in SLOW_BAND_RUNS:
         res = optimize_map(score_operator(PriorDistribution.mirror(theta)), seed=seed)
         check_choi(res.chi_star)
-        if not (res.converged and res.iterations <= 500 and abs(res.f_star - mpcc_fidelity(theta)) <= 1e-6):
+        if not (res.converged and res.iterations <= 60 and abs(res.f_star - mpcc_fidelity(theta)) <= 1e-6):
             slow.append((theta, seed, res.iterations, res.f_star - mpcc_fidelity(theta)))
     assert slow == []
 
@@ -367,6 +367,25 @@ def test_batch_runs_equal_their_lone_calls():
         assert res.iterations == alone.iterations
         assert res.converged == alone.converged
         assert res.fidelity_history == alone.fidelity_history
+
+
+@pytest.mark.parametrize("max_iter", [2, 3, 4])
+def test_runs_ending_before_the_mix_history_fills_match_the_batch(max_iter):
+    # until the fourth step some of the mix's difference slots still hold
+    # zeros, which must solve to zero weight, and the phase-covariant poles
+    # take the kernel completion: each run still returns a channel, bitwise
+    # its own in the batch
+    scores = [score_operator(p) for p in (PriorDistribution.phase_covariant(0.0),
+                                          PriorDistribution.phase_covariant(math.pi), PriorDistribution.mirror(0.47))]
+    seeds = [4, 5, 6]
+    batch = optimize_batch(np.stack(scores), seeds, max_iter=max_iter)
+    for score, seed, res in zip(scores, seeds, batch, strict=True):
+        alone = optimize_map(score, seed=seed, max_iter=max_iter)
+        check_choi(alone.chi_star)
+        assert alone.iterations <= max_iter
+        assert res.chi_star.tobytes() == alone.chi_star.tobytes()
+        assert res.fidelity_history == alone.fidelity_history
+        assert (res.f_star, res.iterations, res.converged) == (alone.f_star, alone.iterations, alone.converged)
 
 
 def test_run_record_is_python_typed_with_a_numpy_tol():
