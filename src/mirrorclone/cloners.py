@@ -152,8 +152,8 @@ def mpcc_isometry_apply(theta, psi: np.ndarray) -> np.ndarray:
       |0>  ->  lam |000> + lam_bar (|011> + |101|)/sqrt(2)
       |1>  ->  lam |111> + lam_bar (|010> + |100|)/sqrt(2)
     """
-    psi = check_state(psi)
-    if psi.shape[-1:] != (2,) or psi.ndim > max(np.ndim(theta), 1) + 1:
+    psi = check_state(psi, 2)
+    if psi.ndim > max(np.ndim(theta), 1) + 1:
         raise ValueError(f"need one-qubit states, stacked no deeper than the angles, not shape {psi.shape}")
     pr = mpcc_params(np.ravel(theta))
     lam, h = pr.lam.reshape(np.shape(theta)), (pr.lam_bar / SQRT2).reshape(np.shape(theta))
@@ -164,18 +164,17 @@ def mpcc_isometry_apply(theta, psi: np.ndarray) -> np.ndarray:
 
 
 def clone(psi: np.ndarray, chi: np.ndarray):
-    """Send a single-qubit state through a process matrix.
+    """Send a single-qubit state, or a stack of them, through one process matrix.
 
     Returns (rho_out, rho1, rho2): the joint two-clone state and the two
-    reduced clone states.  Raises ValueError if chi fails check_choi.
+    reduced clone states, stacked as psi is, each entry bit for bit its
+    lone call.  Raises ValueError if chi fails check_choi, checked once.
     """
     psi = check_state(psi, 2)
-    chi = check_choi(chi)
+    chi4 = check_choi(chi).reshape(2, 4, 2, 4)
     # Tr_in[chi (rho_in^T tensor id)] as one contraction over the input indices
-    rho_out = np.einsum("iajb,ij->ab", chi.reshape(2, 4, 2, 4), np.outer(psi, psi.conj()))
-    rho1 = partial_trace(rho_out, [1])
-    rho2 = partial_trace(rho_out, [2])
-    return rho_out, rho1, rho2
+    rho_out = np.einsum("iajb,...ij->...ab", chi4, psi[..., :, None] * psi[..., None, :].conj())
+    return rho_out, partial_trace(rho_out, [1]), partial_trace(rho_out, [2])
 
 
 def mpcc_clone_bloch(theta, phi: float) -> np.ndarray:

@@ -117,11 +117,8 @@ def _atoms(prior: PriorDistribution) -> tuple:
 
 def score_operator(prior: PriorDistribution) -> np.ndarray:
     """Score operator of a prior, assembled from the closed-form atoms."""
-    out = np.zeros((8, 8))
     angles, weights = zip(*_atoms(prior))
-    for weight, r in zip(weights, _atom_scores(angles)):
-        out += weight * r
-    return out
+    return np.einsum("n,n...->...", weights, _atom_scores(angles))
 
 
 def mirror_scores(thetas) -> np.ndarray:
@@ -130,19 +127,16 @@ def mirror_scores(thetas) -> np.ndarray:
     return 0.5 * _atom_scores(thetas) + 0.5 * _atom_scores([math.pi - t for t in thetas])
 
 
-def _prior_average(prior: PriorDistribution, fn):
-    """Mean of fn(psi) over the prior's atoms and the azimuth ring of each."""
-    total = 0.0
-    for angle, weight in _atoms(prior):
-        for k in range(_N_PHI):
-            total += (weight / _N_PHI) * fn(ket_from_angles(angle, _TWO_PI * k / _N_PHI))
-    return total
+def _nodes(prior: PriorDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature inputs of a prior, the azimuth ring of each atom stacked (M, 2), and their M weights."""
+    nodes = [(angle, _TWO_PI * k / _N_PHI, weight / _N_PHI) for angle, weight in _atoms(prior) for k in range(_N_PHI)]
+    return np.array([ket_from_angles(angle, phi) for angle, phi, _ in nodes]), np.array([w for _, _, w in nodes])
 
 
 def _projector_score(psi: np.ndarray) -> np.ndarray:
-    """Score operator of one pure input: rho^T tensor the clone-averaged projector."""
-    rho_in = np.outer(psi, psi.conj())
-    return kron(rho_in.T, 0.5 * (kron(rho_in, ID2) + kron(ID2, rho_in)))
+    """Score operator of each pure input of a stack: rho^T tensor the clone-averaged projector."""
+    rho_in = psi[..., :, None] * psi[..., None, :].conj()
+    return kron(rho_in.swapaxes(-1, -2), 0.5 * (kron(rho_in, ID2) + kron(ID2, rho_in)))
 
 
 def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:
@@ -151,7 +145,8 @@ def score_operator_quadrature(prior: PriorDistribution) -> np.ndarray:
     Averages the projector score over the prior's atoms and the exact
     3-node azimuth ring (see the module docstring).
     """
-    acc = _prior_average(prior, _projector_score)
+    states, weights = _nodes(prior)
+    acc = np.einsum("n,n...->...", weights, _projector_score(states))
     resid = float(np.abs(acc.imag).max())
     if resid > 1e-13:
         raise ArithmeticError(f"quadrature left imaginary residue {resid:.3e}")
@@ -176,12 +171,9 @@ def average_fidelity_direct(chi: np.ndarray, prior: PriorDistribution) -> float:
     """Mean clone fidelity by sending quadrature-sampled states through chi.
 
     Independent of the score-operator route: the channel is applied to
-    each sampled input and both clones are compared with it directly.
-    Raises ValueError if chi fails check_choi.
+    the stack of sampled inputs in one clone call, and both clones are
+    compared with each input directly.  Raises ValueError if chi fails check_choi.
     """
-
-    def clone_score(psi: np.ndarray) -> float:
-        _, rho1, rho2 = clone(psi, chi)
-        return 0.5 * (fidelity_pure(psi, rho1) + fidelity_pure(psi, rho2))
-
-    return _prior_average(prior, clone_score)
+    states, weights = _nodes(prior)
+    _, rho1, rho2 = clone(states, chi)
+    return float(weights @ (0.5 * (fidelity_pure(states, rho1) + fidelity_pure(states, rho2))))

@@ -99,18 +99,20 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return np.einsum(t, [..., *range(n), *col], [..., *out]).reshape(stack + (1 << len(keep),) * 2)
 
 
-def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a unit-norm pure state with a finite density matrix."""
-    psi = check_state(psi)
-    rho = np.asarray(rho)
-    if rho.shape != psi.shape * 2:  # one state: a stack never matches a matrix
+def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
+    """Overlap <psi|rho|psi>, a float, of a unit-norm pure state with a finite density matrix.
+
+    Stacks of both with one leading shape give an array, each entry bit for bit its lone call."""
+    psi, rho = check_state(psi), np.asarray(rho)
+    if rho.shape != psi.shape + psi.shape[-1:]:
         raise ValueError("state and density matrix dimensions do not match")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
-    val = complex(psi.conj() @ rho @ psi)
-    if abs(val.imag) > ATOL:
-        raise ValueError(f"overlap has imaginary residue {val.imag:.3e}")
-    return val.real
+    if not np.issubdtype(rho.dtype, np.number) or not np.isfinite(rho).all():
+        raise ValueError(f"density matrix has non-finite or non-numeric entries (dtype {rho.dtype})")
+    val = (psi.conj()[..., None, :] @ rho @ psi[..., :, None])[..., 0, 0]
+    resid = np.abs(val.imag).max(initial=0.0)
+    if resid > ATOL:
+        raise ValueError(f"overlap has imaginary residue {resid:.3e}")
+    return val.real if val.ndim else float(val.real)
 
 
 def haar_random_state(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
@@ -124,12 +126,12 @@ def haar_random_state(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> 
 def check_state(psi: np.ndarray, size: int | None = None) -> np.ndarray:
     """Returns ``psi`` as an array if each state, along its last axis, has unit norm to ATOL.
 
-    Given ``size``, ``psi`` must be one state of shape (size,)."""
+    Given ``size``, each state must have ``size`` amplitudes."""
     psi = np.asarray(psi)
     if not np.issubdtype(psi.dtype, np.number):
         raise ValueError(f"state amplitudes must be numbers, not dtype {psi.dtype}")
-    if size is not None and psi.shape != (size,):
-        raise ValueError(f"state must be a vector of {size} amplitudes, not shape {psi.shape}")
+    if size is not None and psi.shape[-1:] != (size,):
+        raise ValueError(f"each state must be a vector of {size} amplitudes, not shape {psi.shape}")
     deviation = np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0)
     if not (deviation <= ATOL).all():  # also rejects a NaN norm
         raise ValueError(f"state norm deviates from 1 by {deviation.max():.3e}")

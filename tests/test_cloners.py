@@ -42,7 +42,7 @@ from mirrorclone.circuits import (
     propagator_coefficients,
 )
 from mirrorclone.fidelity import PriorDistribution, r_theta, score_operator
-from mirrorclone.optimality import certificate, optimize_map
+from mirrorclone.optimality import certificate, optimize_map, random_trace_preserving_choi
 from mirrorclone.qcore import fidelity_pure, haar_random_state, ket_from_angles, partial_trace
 
 GRID = np.linspace(0.0, math.pi, 61)
@@ -433,6 +433,32 @@ def test_clone_bloch_closed_form():
             want = mpcc_clone_bloch(theta, phi)
             assert np.abs(bloch(rho1) - want).max() < 1e-12
             assert np.abs(bloch(rho2) - want).max() < 1e-12
+
+
+def test_stacked_clone_and_fidelity_equal_their_lone_calls_bit_for_bit(rng):
+    # one check_choi and one contraction per stack, no second cloning map:
+    # each entry is its lone call, and a lone call is the plain contraction
+    chis = [mpcc_choi(0.4), uc_choi()] + [random_trace_preserving_choi(rng) for _ in range(4)]
+    for chi in chis:
+        states = haar_random_state(rng, (3, 5))
+        stacked = clone(states, chi)
+        overlaps = [fidelity_pure(states, rho) for rho in stacked[1:]]
+        assert [out.shape for out in stacked] == [(3, 5, 4, 4), (3, 5, 2, 2), (3, 5, 2, 2)]
+        assert overlaps[0].shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            psi = states[idx]
+            lone = clone(psi, chi)
+            plain = np.einsum("iajb,ij->ab", chi.reshape(2, 4, 2, 4), np.outer(psi, psi.conj()))
+            assert lone[0].tobytes() == plain.tobytes()
+            for got, want in zip(stacked, lone):
+                assert got[idx].tobytes() == want.tobytes()
+            for got, rho in zip(overlaps, lone[1:]):
+                value = fidelity_pure(psi, rho)
+                assert type(value) is float and got[idx] == value
+    with pytest.raises(ValueError, match="dimensions"):
+        fidelity_pure(states, stacked[1][0])  # leading shapes (3, 5) and (5,)
+    with pytest.raises(ValueError, match="vector of 2"):
+        clone(np.ones((4, 3)) / math.sqrt(3.0), uc_choi())
 
 
 def test_clone_fidelity_is_phase_invariant():

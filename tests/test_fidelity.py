@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mirrorclone import cloners
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_choi, mpcc_fidelity, uc_choi
 from mirrorclone.fidelity import (
     PriorDistribution,
@@ -209,6 +210,18 @@ def test_functional_routes_agree_for_universal_machine():
     chi = uc_choi()
     assert abs(average_fidelity(chi, score_operator(prior)) - 5.0 / 6.0) < 1e-12
     assert abs(average_fidelity_direct(chi, prior) - 5.0 / 6.0) < 1e-12
+
+
+def test_average_fidelity_direct_checks_the_channel_once(monkeypatch):
+    # every quadrature node goes through one clone call, so one check_choi
+    chi, calls = mpcc_choi(0.7), []
+    check_choi = cloners.check_choi
+    monkeypatch.setattr(cloners, "check_choi", lambda c: calls.append(c) or check_choi(c))
+    three_atoms = PriorDistribution(((0.2, 0.5), (0.9, 0.25), (2.0, 0.25)))
+    for prior in (PriorDistribution.mirror(0.7), PriorDistribution.universal(), three_atoms):
+        calls.clear()
+        average_fidelity_direct(chi, prior)
+        assert len(calls) == 1
 
 
 def test_cross_machine_functional_is_suboptimal():

@@ -173,6 +173,11 @@ def test_fidelity_pure_validation():
     for bad in (np.full((2, 2), np.nan), infinite):
         with pytest.raises(ValueError, match="non-finite"):
             fidelity_pure(plus, bad)
+    # ValueError, as check_state and check_choi give, not np.isfinite's TypeError
+    mixed = np.array([[0.5, "0"], [None, 0.5]], dtype=object)
+    for bad in (np.full((2, 2), None), np.full((2, 2), "0.5"), mixed):
+        with pytest.raises(ValueError, match="non-numeric"):
+            fidelity_pure(plus, bad)
 
 
 def test_haar_random_state_basics():
@@ -212,10 +217,11 @@ def test_check_state():
     for psi in (bad, np.full((2, 2), math.nan)):
         with pytest.raises(ValueError, match="norm"):
             check_state(psi)
+    assert check_state(stack, 2) is stack  # given a size, every state of a stack has that many amplitudes
     with pytest.raises(ValueError, match="vector of 2"):
-        check_state(stack[0], 2)  # given a size, one state only
+        check_state(np.ones((2, 3)) / 3**0.5, 2)
     with pytest.raises(ValueError, match="dimensions"):
-        fidelity_pure(stack[0], np.eye(2) / 2)  # a stack is not one state
+        fidelity_pure(stack[0], np.eye(2) / 2)  # two states against one matrix
     for call in (partial(equal_up_to_global_phase, "ab", "ab"), partial(fidelity_pure, "ab", np.eye(2))):
         with pytest.raises(ValueError, match="must be numbers"):
             call()
