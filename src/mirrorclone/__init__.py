@@ -42,7 +42,6 @@ from .optimality import (
     OptimalityCertificate,
     OptimizeResult,
     certificate,
-    certificate_batch,
     optimize_batch,
     optimize_map,
 )

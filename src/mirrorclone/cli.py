@@ -34,14 +34,14 @@ from .cloners import (
 from .fidelity import mirror_scores
 # optimize_map is unused here but stays bound: perfbench/selftest.py checks
 # that its tracer rebinds mirrorclone.cli.optimize_map
-from .optimality import certificate_batch, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
+from .optimality import certificate, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
 from .qcore import check_finite, check_int, check_polar, haar_random_state
 
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
 CERTIFY_TOL = 1e-10  # certify's bound on the fidelity-identity residual
 _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # rows per template fill of the JSON writer: at certify --steps 100001 the writer then peaks below
-# certificate_batch (403 MB RSS), where one fill of all rows peaks at 429 MB
+# certificate (388 MB RSS), where one fill of all rows peaks at 439 MB
 _JSON_CHUNK = 500
 # grid caps: every subcommand holds its table's columns and each cell's text, circuits also (N, 8, 8)
 # unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 27 kB each
@@ -176,11 +176,11 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    certs = certificate_batch(check_grid(args))
-    _write_table({name: [getattr(cert, name) for cert in certs] for name in vars(certs[0])}, args)
-    ok = [c.psd_ok and c.saturation_ok and c.fidelity_identity_residual <= CERTIFY_TOL for c in certs]
-    if not all(ok):
-        failed = (f"{c.theta:.17g}" for c, good in zip(certs, ok) if not good)
+    cert = certificate(check_grid(args))
+    _write_table(vars(cert), args)
+    ok = np.array(cert.psd_ok) & cert.saturation_ok & (np.array(cert.fidelity_identity_residual) <= CERTIFY_TOL)
+    if not ok.all():
+        failed = (f"{t:.17g}" for t, good in zip(cert.theta, ok) if not good)
         print("certificate failed at theta: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0

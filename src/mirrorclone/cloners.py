@@ -170,8 +170,10 @@ def clone(psi: np.ndarray, chi: np.ndarray):
     reduced clone states, stacked as psi is, each entry bit for bit its
     lone call.  Raises ValueError if chi fails check_choi, checked once.
     """
-    psi = check_state(psi, 2)
-    chi4 = check_choi(chi).reshape(2, 4, 2, 4)
+    psi, chi = check_state(psi, 2), check_choi(chi)
+    if chi.shape != (8, 8):
+        raise ValueError(f"need one 8x8 process matrix, not a stack of shape {chi.shape}")
+    chi4 = chi.reshape(2, 4, 2, 4)
     # Tr_in[chi (rho_in^T tensor id)] as one contraction over the input indices
     rho_out = np.einsum("iajb,...ij->...ab", chi4, psi[..., :, None] * psi[..., None, :].conj())
     return rho_out, partial_trace(rho_out, [1]), partial_trace(rho_out, [2])

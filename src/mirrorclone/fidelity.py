@@ -159,7 +159,9 @@ def average_fidelity(chi: np.ndarray, score: np.ndarray) -> float:
     The score must be a finite Hermitian PSD nonzero 8x8 matrix, as for
     optimize_batch, else ValueError.
     """
-    chi = check_choi(chi).reshape(8, 8)  # a stack of channels raises ValueError here
+    chi = check_choi(chi)
+    if chi.shape != (8, 8):
+        raise ValueError(f"need one 8x8 process matrix, not a stack of shape {chi.shape}")
     score = check_scores(np.asarray(score)[None])[0]
     val = complex(np.trace(chi @ score))
     if abs(val.imag) > 1e-12:

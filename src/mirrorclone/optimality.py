@@ -39,7 +39,7 @@ _DEPTH = 3  # Anderson history: the differences of the last four plain steps and
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    """Dual-feasibility record for the mirror machine at one polar angle.
+    """Dual-feasibility record for the mirror machine at one polar angle, or lists of them at a column of angles.
 
     delta_spectrum is the ascending spectrum of Delta = lam tensor id - R;
     delta_closed_form holds the four analytic eigenvalues (each is doubly
@@ -66,20 +66,20 @@ class OptimalityCertificate:
     delta_closed_form: tuple[float, float, float, float]
 
 
-def certificate_batch(thetas) -> list[OptimalityCertificate]:
-    """Build and evaluate the optimality certificate at each polar angle.
+def certificate(theta) -> OptimalityCertificate:
+    """Build and evaluate the optimality certificate at one polar angle, or at a column of them.
 
-    Each matrix step runs once on the stacked chi and R of all angles; an
-    angle outside [0, pi] raises ValueError.  A failed check is not raised:
-    a false psd_ok or saturation_ok is data for the caller to act on.
+    A column (as mpcc_params reads it) gives one record of lists, entry i
+    bit for bit the record at angle i alone.  Each matrix step runs once on
+    the stacked chi and R of all angles; an angle outside [0, pi] raises
+    ValueError.  A failed check is not raised: a false psd_ok or
+    saturation_ok is data for the caller to act on.
     """
-    thetas = check_sequence(thetas, "polar angles")
-    if not thetas:
-        return []
-    pr = mpcc_params(thetas)  # the closed forms as columns
-    a, b, c, f, thetas = pr.a, pr.b, pr.c, pr.fidelity, pr.theta.tolist()
-    score = mirror_scores(thetas).astype(np.complex128)  # complex: no cast in score @ chi
-    s1_sq, cos_sq = np.array([(math.sin(t) ** 2, math.cos(t) ** 2) for t in thetas]).T  # by math, as the closed forms
+    pr = mpcc_params(theta)  # the closed forms as columns, and the one check of the angles
+    thetas, a, b, c, f = map(np.ravel, (pr.theta, pr.a, pr.b, pr.c, pr.fidelity))  # one angle as a column of one
+    score = mirror_scores(thetas.tolist()).astype(np.complex128)  # complex: no cast in score @ chi
+    trig = [(math.sin(t) ** 2, math.cos(t) ** 2) for t in thetas.tolist()]  # by math, as the closed forms
+    s1_sq, cos_sq = np.array(trig).reshape(-1, 2).T
 
     lam_op = partial_trace(score @ choi_from_weights(a, b, c), [1])
     traces = np.trace(lam_op, axis1=1, axis2=2).real
@@ -97,18 +97,13 @@ def certificate_batch(thetas) -> list[OptimalityCertificate]:
     closed = np.stack(d, axis=1)
     weights_form = ((1.0 + cos_sq) * a + 2.0 * b + 2.0 * s1_sq * c) / 4.0
     columns = (
-        lambda_scalar, trace_gap, np.abs(f - r00 - r11 - rbar),
+        thetas, lambda_scalar, trace_gap, np.abs(f - r00 - r11 - rbar),
         np.abs(spectra - np.sort(np.repeat(closed, 2, axis=1), axis=1)).max(axis=1), proportionality,
         np.abs(lambda_scalar - weights_form), np.abs(lambda_scalar - f / 2.0),
-        spectra[:, 0] >= -PSD_TOL, np.abs(trace_gap) <= SATURATION_TOL,
-    )  # in OptimalityCertificate's field order, between theta and the two spectra
-    fields = [col.tolist() for col in columns] + [map(tuple, spectra.tolist()), map(tuple, closed.tolist())]
-    return [OptimalityCertificate(*row) for row in zip(thetas, *fields)]
-
-
-def certificate(theta: float) -> OptimalityCertificate:
-    """The optimality certificate at one polar angle: certificate_batch([theta])[0]."""
-    return certificate_batch([theta])[0]
+        spectra[:, 0] >= -PSD_TOL, np.abs(trace_gap) <= SATURATION_TOL, spectra, closed,
+    )  # in OptimalityCertificate's field order
+    fields = [col.tolist() if col.ndim == 1 else list(map(tuple, col.tolist())) for col in columns]
+    return OptimalityCertificate(*(fields if np.ndim(pr.theta) else [field[0] for field in fields]))
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,9 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     ``rho`` are a stack: each matrix in it is traced on its own.
     """
     rho = np.asarray(rho)
-    n = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(rho.shape[-2:])
+    n = {(4, 4): 2, (8, 8): 3}.get(rho.shape[-2:])  # one qubit has no qubit to trace out and one to keep
     if n is None:
-        raise ValueError(f"partial_trace expects 2x2, 4x4 or 8x8 matrices, not shape {rho.shape}")
+        raise ValueError(f"partial_trace expects 4x4 or 8x8 matrices, not shape {rho.shape}")
     keep = check_qubits(keep, n)
     if not keep or len(keep) == n:
         raise ValueError("keep must be a nonempty strict subset of the qubits")
@@ -130,8 +130,8 @@ def check_state(psi: np.ndarray, size: int | None = None) -> np.ndarray:
     psi = np.asarray(psi)
     if not np.issubdtype(psi.dtype, np.number):
         raise ValueError(f"state amplitudes must be numbers, not dtype {psi.dtype}")
-    if size is not None and psi.shape[-1:] != (size,):
-        raise ValueError(f"each state must be a vector of {size} amplitudes, not shape {psi.shape}")
+    if not psi.ndim or size is not None and psi.shape[-1:] != (size,):
+        raise ValueError(f"each state must be a vector{f' of {size} amplitudes' if size else ''}, not shape {psi.shape}")
     deviation = np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0)
     if not (deviation <= ATOL).all():  # also rejects a NaN norm
         raise ValueError(f"state norm deviates from 1 by {deviation.max():.3e}")

@@ -23,6 +23,7 @@ import mirrorclone.cli as cli
 from mirrorclone.cli import MAX_OPTIMIZE_RUNS, MAX_STEPS, build_parser, check_grid, main, uniform_grid
 from mirrorclone.circuits import circuit_mpcc_v1, circuit_mpcc_v2, parse_circuit
 from mirrorclone.cloners import FIDELITY_MINIMUM_ANGLE, mpcc_fidelity, mpcc_params, pcc_fidelity
+from mirrorclone.optimality import certificate
 
 
 def read_csv(path):
@@ -376,6 +377,22 @@ def test_certify_csv_flattens_arrays(tmp_path):
     assert rows[0]["psd_ok"] == "true"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_certify_on_a_one_angle_grid_writes_the_lone_certificate(tmp_path, fmt):
+    # theta-min = theta-max collapses the grid to one angle: a column of one
+    out = tmp_path / f"cert.{fmt}"
+    argv = ["certify", "--theta-min", "1", "--theta-max", "1", "--steps", "2", "--format", fmt, "--output", str(out)]
+    assert main(argv) == 0
+    cert = certificate(1.0)
+    if fmt == "json":
+        (row,) = json.loads(out.read_text())
+        assert row == {name: list(v) if isinstance(v, tuple) else v for name, v in vars(cert).items()}
+    else:
+        (row,) = read_csv(out)
+        cells = [x for v in vars(cert).values() for x in (v if isinstance(v, tuple) else (v,))]
+        assert list(row.values()) == [str(x).lower() if isinstance(x, bool) else f"{x:.17g}" for x in cells]
+
+
 # --- circuits ----------------------------------------------------------------------
 
 
@@ -477,12 +494,13 @@ def test_optimize_runs_above_the_cap_exit_2(capsys):
 
 
 def test_certify_failure_exits_1(monkeypatch, capsys):
-    real = cli.certificate_batch
+    real = cli.certificate
 
-    def certificate_batch(thetas):
-        return [dataclasses.replace(c, psd_ok=False) if c.theta == 0.5 else c for c in real(thetas)]
+    def certificate(thetas):
+        cert = real(thetas)
+        return dataclasses.replace(cert, psd_ok=[ok and t != 0.5 for t, ok in zip(cert.theta, cert.psd_ok)])
 
-    monkeypatch.setattr(cli, "certificate_batch", certificate_batch)
+    monkeypatch.setattr(cli, "certificate", certificate)
     assert main(["certify", "--theta-min", "0.0", "--theta-max", "1.0", "--steps", "3"]) == 1
     assert "certificate failed at theta: 0.5" in capsys.readouterr().err
 

@@ -459,6 +459,8 @@ def test_stacked_clone_and_fidelity_equal_their_lone_calls_bit_for_bit(rng):
         fidelity_pure(states, stacked[1][0])  # leading shapes (3, 5) and (5,)
     with pytest.raises(ValueError, match="vector of 2"):
         clone(np.ones((4, 3)) / math.sqrt(3.0), uc_choi())
+    with pytest.raises(ValueError, match=r"one 8x8 process matrix, not a stack of shape \(2, 8, 8\)"):
+        clone(states, np.stack([uc_choi(), uc_choi()]))  # one channel per call, however many states
 
 
 def test_clone_fidelity_is_phase_invariant():

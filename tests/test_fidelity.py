@@ -234,6 +234,11 @@ def test_cross_machine_functional_is_suboptimal():
 def test_average_fidelity_validation():
     with pytest.raises(ValueError):
         average_fidelity(np.eye(4), np.eye(8))
+    channels = np.stack([uc_choi(), uc_choi()])  # each route scores one channel
+    for call in (partial(average_fidelity, channels, np.eye(8)),
+                 partial(average_fidelity_direct, channels, PriorDistribution.mirror(0.4))):
+        with pytest.raises(ValueError, match=r"one 8x8 process matrix, not a stack of shape \(2, 8, 8\)"):
+            call()
     with pytest.raises(ValueError):
         average_fidelity(np.eye(8), np.eye(4))
     chi = np.zeros((8, 8), dtype=np.complex128)

@@ -23,7 +23,6 @@ from mirrorclone.optimality import (
     SATURATION_TOL,
     OptimalityCertificate,
     certificate,
-    certificate_batch,
     choi_pattern_defect,
     optimize_batch,
     optimize_map,
@@ -70,27 +69,41 @@ def test_certificate_grid_all_pass():
         assert len(cert.delta_spectrum) == 8
 
 
-def _bits(cert):
-    """Every field of a certificate, floats by their exact bit pattern."""
-    def bits(v):
-        return v.hex() if isinstance(v, float) else tuple(map(bits, v)) if isinstance(v, tuple) else v
+def _bits(value):
+    """A certificate, a field or a cell, each float by its exact bit pattern."""
+    if isinstance(value, OptimalityCertificate):
+        return {name: _bits(v) for name, v in vars(value).items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_bits, value))
+    return value.hex() if isinstance(value, float) else value
 
-    return {name: bits(value) for name, value in vars(cert).items()}
+
+def _python_cells(cert):
+    """Whether a certificate's cells, one angle's or a column's, are Python floats and bools, each spectrum a tuple."""
+    cells = {name: field if isinstance(cert.theta, list) else [field] for name, field in vars(cert).items()}
+    spectra = cells.pop("delta_spectrum") + cells.pop("delta_closed_form")
+    flags = cells.pop("psd_ok") + cells.pop("saturation_ok")
+    floats = [x for s in spectra for x in s] + [x for field in cells.values() for x in field]
+    types = [{type(s) for s in spectra}, {type(x) for x in flags}, {type(x) for x in floats}]
+    return all(t <= {want} for t, want in zip(types, (tuple, bool, float)))
 
 
-def test_certificate_batch_equals_lone_certificates_bit_for_bit():
+@pytest.mark.parametrize("column", [list, tuple, np.array])
+def test_certificate_column_entries_equal_lone_certificates_bit_for_bit(column):
     grid = [0.0, 0.3, FIDELITY_MINIMUM_ANGLE, 1.2, math.pi / 2, 2.0, math.pi - FIDELITY_MINIMUM_ANGLE, math.pi]
-    batch = certificate_batch(grid)
-    assert [cert.theta for cert in batch] == grid
-    for cert, theta in zip(batch, grid):
-        assert type(cert) is OptimalityCertificate
-        assert _bits(cert) == _bits(certificate(theta))
-        assert all(type(v) is float for v in cert.delta_spectrum + cert.delta_closed_form)
+    got = certificate(column(grid))
+    assert type(got) is OptimalityCertificate and got.theta == grid
+    assert all(type(field) is list and len(field) == len(grid) for field in vars(got).values())
+    assert _python_cells(got)
+    for i, theta in enumerate(grid):
+        lone = certificate(theta)
+        assert _python_cells(lone)
+        assert {name: _bits(field[i]) for name, field in vars(got).items()} == _bits(lone)
 
 
 def _reference_certificates(thetas):
     """The certificate as first stacked: one score_operator per angle and the
-    per-angle scalars in a Python loop.  The oracle for certificate_batch."""
+    per-angle scalars in a Python loop.  The oracle for a column certificate."""
     params = [mpcc_params(theta) for theta in thetas]
     score = np.empty((len(params), 8, 8), dtype=np.complex128)
     for i, pr in enumerate(params):
@@ -147,24 +160,29 @@ _LANDMARKS = [0.0, math.pi, math.pi / 2, FIDELITY_MINIMUM_ANGLE, math.pi - FIDEL
 @given(extra=st.lists(st.floats(0.0, math.pi), max_size=40), seed=st.integers(0, 2**32 - 1))
 @example(extra=[], seed=0)
 @example(extra=[5e-324, math.nextafter(math.pi, 0.0), 1e-8, math.pi / 4], seed=1)
-def test_certificate_batch_equals_the_per_angle_loop_bit_for_bit(extra, seed):
+def test_column_certificate_equals_the_per_angle_loop_bit_for_bit(extra, seed):
     grid = _LANDMARKS + extra
     np.random.default_rng(seed).shuffle(grid)
-    got = certificate_batch(grid)
-    assert [_bits(cert) for cert in got] == [_bits(cert) for cert in _reference_certificates(grid)]
-    for cert in got:
-        assert all(type(v) is float for v in cert.delta_spectrum + cert.delta_closed_form)
-        assert type(cert.psd_ok) is bool and type(cert.saturation_ok) is bool
+    got, want = certificate(grid), _reference_certificates(grid)
+    for name, field in vars(got).items():
+        assert _bits(field) == [_bits(getattr(cert, name)) for cert in want], name
+    assert _python_cells(got)
 
 
-def test_certificate_batch_edge_cases():
-    assert certificate_batch([]) == []
-    for bad in ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"], 0.5, None, [True], [0.5, np.True_]):
+def test_certificate_edge_cases():
+    assert all(field == [] for field in vars(certificate([])).values())
+    # a column is what mpcc_params reads as one: a dict or a set is one bad angle, not a column
+    bad_inputs = ([0.2, -0.1], [math.pi + 1e-9], [float("nan")], ["x"], None, [True], [0.5, np.True_],
+                  {}, {0.5: 1.0}, {0.5}, np.array([[0.5]]), (t for t in [0.5]), -0.1, True, "a")
+    for bad in bad_inputs:
         with pytest.raises(ValueError):
-            certificate_batch(bad)
-    # records carry Python floats, whatever number type each angle came as
-    for thetas in (np.array([0.5, 1.0]), [np.float64(0.5), 1]):
-        assert [type(cert.theta) for cert in certificate_batch(thetas)] == [float, float]
+            certificate(bad)
+    # columns carry Python floats, whatever number type each angle came as
+    for thetas in (np.array([0.5, 1.0]), [np.float64(0.5), 1], (0.5, np.float32(1.0))):
+        got = certificate(thetas)
+        assert got.theta == [0.5, 1.0] and _python_cells(got)
+    for theta in (np.float64(0.5), np.array(0.5), 1):
+        assert type(certificate(theta).theta) is float
 
 
 def test_certificate_spectrum_is_doubly_degenerate():

@@ -136,8 +136,9 @@ def test_partial_trace_validation(rng):
     for keep in ([], [1, 2], [0], [3], [1, 1], [1.5], [1.0], [True], 1, None):
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
-    for bad in (np.zeros((2, 4)), np.zeros(4), *(np.eye(dim) for dim in (0, 1, 3, 6, 16))):
-        with pytest.raises(ValueError):
+    # a 2x2 input too: one qubit has no nonempty strict subset to keep
+    for bad in (np.zeros((2, 4)), np.zeros(4), *(np.eye(dim) for dim in (0, 1, 2, 3, 6, 16))):
+        with pytest.raises(ValueError, match="expects 4x4 or 8x8"):
             partial_trace(bad, [1])
 
 
@@ -225,6 +226,14 @@ def test_check_state():
     for call in (partial(equal_up_to_global_phase, "ab", "ab"), partial(fidelity_pure, "ab", np.eye(2))):
         with pytest.raises(ValueError, match="must be numbers"):
             call()
+    # a 0-d array is no state: the message names its shape
+    scalar = np.array(1.0)
+    for call in (partial(check_state, scalar), partial(fidelity_pure, scalar, scalar),
+                 partial(equal_up_to_global_phase, scalar, scalar)):
+        with pytest.raises(ValueError, match=r"must be a vector, not shape \(\)"):
+            call()
+    with pytest.raises(ValueError, match=r"vector of 2 amplitudes, not shape \(\)"):
+        check_state(scalar, 2)
 
 
 # --- the input checks every module shares --------------------------------------------
