@@ -34,7 +34,7 @@ from .cloners import (
 from .fidelity import mirror_scores
 # optimize_map is unused here but stays bound: perfbench/selftest.py checks
 # that its tracer rebinds mirrorclone.cli.optimize_map
-from .optimality import certificate, choi_pattern_defect, optimize_batch, optimize_map  # noqa: F401
+from .optimality import certificate, optimize_batch, optimize_map  # noqa: F401
 from .qcore import check_finite, check_int, check_polar, haar_random_state
 
 GAP_TOL = 1e-6  # optimizer-vs-analytic acceptance gap
@@ -234,7 +234,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     f_star, f_ref = np.array([r.f_star for r in best]), mpcc_fidelity(grid)
     gap = f_star - f_ref
     columns = {"theta": grid, "F_star": f_star, "F_mpcc": f_ref, "gap": gap,
-               "pattern_defect": choi_pattern_defect(np.array([r.chi_star for r in best]), grid),
                "iterations": [r.iterations for r in best], "converged": [r.converged for r in best]}
     _write_table(columns, args)
     return 1 if (np.abs(gap) > GAP_TOL).any() else 0

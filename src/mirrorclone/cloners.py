@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .qcore import check_choi, check_finite, check_int, check_polar, check_state, partial_trace
+from .qcore import ATOL, check_choi, check_finite, check_int, check_polar, check_state, partial_trace
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,10 +121,16 @@ def choi_from_weights(a: float, b: float, c: float) -> np.ndarray:
 
     Weight a sits on the direct-copy projectors |000><000| and |111><111|,
     b on the symmetric-mix block, c on the coherences connecting them.
-    Trace preservation requires a + 2b = 1; the matrix is rank 2 when
-    c = sqrt(a*b).  Equal-length arrays of weights give an (N, 8, 8) stack.
+    Columns of weights give an (N, 8, 8) stack, rank 2 where c = sqrt(ab).
+    ValueError unless the weights are real numbers (not bools) of one shape
+    with a, b >= 0 and, to ATOL, a + 2b = 1 and c^2 <= ab: each a channel.
     """
-    chi = np.zeros(np.shape(a) + (8, 8), dtype=np.complex128)
+    w = [np.asarray(x) for x in (a, b, c)]
+    real = all(x.dtype.kind in "iuf" and x.shape == w[0].shape for x in w)
+    a, b, c = np.clip(w, -2.0, 2.0) if real else np.full(3, np.nan)  # past 2 fails as 2 does, with no overflow
+    if not np.min([a, b, ATOL - abs(a + 2.0 * b - 1.0), a * b + ATOL - c * c], initial=0.0) >= 0.0:
+        raise ValueError("weights a, b, c must be real numbers of one shape with a, b >= 0, a + 2b = 1, c^2 <= ab")
+    chi = np.zeros(a.shape + (8, 8), dtype=np.complex128)
     chi[..., 0, 0] = chi[..., 7, 7] = a
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2), (5, 5), (5, 6), (6, 5), (6, 6)):
         chi[..., i, j] = b
@@ -217,7 +223,7 @@ def pcc_fidelity(theta) -> float | np.ndarray:
 def uc_fidelity(n_copies: int = 2) -> float:
     """Fidelity (2M + 1)/(3M) of the symmetric 1-to-M universal machine."""
     n_copies = check_int(n_copies, "number of copies", 1)
-    return (2.0 * n_copies + 1.0) / (3.0 * n_copies)
+    return (2 * n_copies + 1) / (3 * n_copies)  # int division rounds once, for any n_copies
 
 
 def uc_clone_bloch(theta, phi: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import choi_from_weights, mpcc_choi, mpcc_params
+from .cloners import choi_from_weights, mpcc_params
 from .fidelity import mirror_scores
 from .qcore import check_choi, check_finite, check_int, check_scores, check_sequence, kron, partial_trace
 
@@ -238,7 +238,7 @@ def optimize_batch(
             d_g[:, slot], d_r[:, slot] = g_vec - g_prev, r - r_prev
             gram = np.vecdot(d_r[:, :, None], d_r[:, None])
             # Tikhonov term: collinear differences stay solvable, and an empty slot gets gamma = 0
-            gram[:, range(_DEPTH), range(_DEPTH)] += 1e-12 * np.trace(gram, axis1=1, axis2=2)[:, None] + 1e-300
+            gram.reshape(-1, _DEPTH * _DEPTH)[:, :: _DEPTH + 1] += 1e-12 * gram.trace(axis1=1, axis2=2)[:, None] + 1e-300
             gamma = np.linalg.solve(gram, np.vecdot(d_r, r[:, None])[..., None])
             mix = (g_vec - (gamma.swapaxes(1, 2) @ d_g)[:, 0]).view(np.complex128).reshape(-1, 8, 8)
             mix = _trace_preserving(mix)
@@ -297,14 +297,3 @@ def optimize_map(
     many runs at once.
     """
     return optimize_batch(np.asarray(score)[None], [seed], tol, max_iter)[0]
-
-
-def choi_pattern_defect(chi: np.ndarray, theta) -> float | np.ndarray:
-    """Entrywise gap between |chi| and the analytic optimal pattern, a column of them for a stack at a column of angles.
-
-    Compares magnitudes only, which fixes any per-entry phase freedom.
-    Informative rather than decisive: at polar angles with a degenerate
-    optimum the optimizer may land on a different optimal channel.
-    """
-    defect = np.abs(np.abs(np.asarray(chi)) - mpcc_choi(theta)).max(axis=(-2, -1))
-    return defect if np.ndim(defect) else float(defect)

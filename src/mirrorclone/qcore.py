@@ -117,6 +117,8 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
 
 def haar_random_state(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-random one-qubit pure state, or a ``shape`` array of them, bit for bit consecutive lone calls."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng {rng!r} is not a numpy.random.Generator")
     shape = [check_int(n, "state shape entry", 0) for n in check_sequence(shape, "state shape")]
     draws = rng.standard_normal((*shape, 2, 2))
     re, im = draws[..., 0, :], draws[..., 1, :]
@@ -165,9 +167,10 @@ def check_choi(chi: np.ndarray) -> np.ndarray:
 
 def check_scores(scores) -> np.ndarray:
     """A non-empty (N, 8, 8) stack of finite, Hermitian, PSD, nonzero scores, as complex."""
-    scores = np.asarray(scores, dtype=complex)
-    if scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
-        raise ValueError("score matrices must be 8x8, stacked as (N, 8, 8) with N >= 1")
+    scores = np.asarray(scores)  # an int past the float range, or any other object, gives an object array
+    if scores.dtype.kind not in "biufc" or scores.ndim != 3 or scores.shape[1:] != (8, 8) or len(scores) == 0:
+        raise ValueError("score matrices must be 8x8 numbers, stacked as (N, 8, 8) with N >= 1")
+    scores = scores.astype(complex, copy=False)
     if not np.isfinite(scores).all():
         raise ValueError("score matrices must be finite")
     scale = np.abs(scores).max(axis=(1, 2))

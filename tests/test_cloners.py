@@ -299,6 +299,17 @@ def test_universal_machine_is_the_mirror_machine_at_the_minimum_angle():
     assert np.abs(uc_choi() - mpcc_choi(FIDELITY_MINIMUM_ANGLE)).max() < 1e-15
 
 
+def test_choi_from_weights_builds_only_channels():
+    # the edge c = sqrt(ab) and a column pass; each condition's violation, a bool,
+    # a shape mismatch and a non-number raise ValueError
+    lam = np.linspace(0.0, 1.0, 11)
+    check_choi(choi_from_weights(lam**2, (1.0 - lam**2) / 2.0, lam * np.sqrt((1.0 - lam**2) / 2.0)))
+    for bad in ((5, -3, 7), (1.5, -0.25, 0.0), (0.5, 0.25 + 1e-12, 0.2), (0.5, 0.25, 0.3536), (True, 0, 0),
+                (1.0, 0.0, 2**32), ([0.5, 1.0], [0.25, 0.0], 0.0), (10**400, 0, 0), (object(), 0, 0), ("1", 0, 0)):
+        with pytest.raises(ValueError, match="weights"):
+            choi_from_weights(*bad)
+
+
 def test_choi_support_pattern():
     chi = choi_from_weights(0.5, 0.25, 0.2)
     support = {(0, 0), (7, 7)}
@@ -506,7 +517,8 @@ def test_pcc_poles_and_continuity():
 
 
 def test_uc_fidelity_formula():
-    assert abs(uc_fidelity(2) - 5.0 / 6.0) < 1e-15
+    assert uc_fidelity(2) == 5.0 / 6.0  # the sweep's F_uc bits
+    assert uc_fidelity(10**400) == 2.0 / 3.0  # integer division rounds once, past the float range too
     assert uc_fidelity(1) == 1.0
     assert abs(uc_fidelity(5) - 11.0 / 15.0) < 1e-15
     for bad in (0, -1, 1.5, math.inf, math.nan):

@@ -241,6 +241,9 @@ def test_average_fidelity_validation():
             call()
     with pytest.raises(ValueError):
         average_fidelity(np.eye(8), np.eye(4))
+    for bad in (10**400, object(), {}, [[object()] * 8] * 8):
+        with pytest.raises(ValueError, match="numbers"):
+            average_fidelity(uc_choi(), bad)
     chi = np.zeros((8, 8), dtype=np.complex128)
     chi[0, 1] = 1j
     score = np.zeros((8, 8))

@@ -23,7 +23,6 @@ from mirrorclone.optimality import (
     SATURATION_TOL,
     OptimalityCertificate,
     certificate,
-    choi_pattern_defect,
     optimize_batch,
     optimize_map,
     random_trace_preserving_choi,
@@ -324,12 +323,8 @@ def test_optimizer_finds_the_analytic_pattern_off_degeneracy():
     theta = 1.0
     score = score_operator(PriorDistribution.mirror(theta))
     res = optimize_map(score, seed=3)
-    assert choi_pattern_defect(res.chi_star, theta) < 1e-3
-
-
-def test_pattern_defect_zero_on_analytic_matrix():
-    for theta in (0.3, 1.2, 2.8):
-        assert choi_pattern_defect(mpcc_choi(theta), theta) == 0.0
+    # magnitudes only, which fixes any per-entry phase freedom
+    assert np.abs(np.abs(res.chi_star) - mpcc_choi(theta)).max() < 1e-3
 
 
 def test_optimize_map_validation():

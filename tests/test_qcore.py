@@ -187,6 +187,9 @@ def test_haar_random_state_basics():
     assert a.shape == (2,)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
     assert np.array_equal(a, b)  # seeded draws are reproducible
+    for bad in (None, 3, np.random.RandomState(5)):
+        with pytest.raises(ValueError, match="Generator"):
+            haar_random_state(bad)
     # two draws of two normals, real parts first, divided by np.linalg.norm: the
     # circuits rows depend on this order and on these bits
     rng, again = np.random.default_rng(5), np.random.default_rng(5)
