@@ -44,7 +44,7 @@ _INPUTS_PER_ANGLE = 5  # random circuit inputs drawn per grid angle
 # certificate (388 MB RSS), where one fill of all rows peaks at 439 MB
 _JSON_CHUNK = 500
 # grid caps: every subcommand holds its table's columns and each cell's text, circuits also (N, 8, 8)
-# unitary stacks (peak RSS 172 MB at 20,001 steps), optimize all (angle, start) runs at once, about 27 kB each
+# unitary stacks (peak RSS 142.5 MB at 20,001 steps), optimize all (angle, start) runs at once, about 27 kB each
 MAX_STEPS = 100_001
 MAX_OPTIMIZE_RUNS = 10_000
 
@@ -191,8 +191,6 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     if args.dump and args.output and os.path.realpath(args.dump) == os.path.realpath(args.output):
         raise ValueError("--dump and --output name one file")
     inputs = haar_random_state(np.random.default_rng(args.seed), (len(grid), _INPUTS_PER_ANGLE))
-    starts = np.zeros((len(grid), _INPUTS_PER_ANGLE, 8), dtype=np.complex128)
-    starts[..., [0, 4]] = inputs  # |q 0 0>
     targets = mpcc_isometry_apply(np.array(grid)[:, None], inputs)
     residuals, dumps, ok = {}, [], True
     for name, layout, params_at in (("v1", MPCC_V1_LAYOUT, mpcc_v1_params), ("v2", MPCC_V2_LAYOUT, mpcc_v2_params)):
@@ -200,10 +198,10 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         if args.dump is not None:
             texts = layout_text(layout, params)
             dumps.append([f"# theta {t:.17g} variant {name}\n{text}" for t, text in zip(grid, texts)])
-        outputs = (compose_layout(layout, params)[:, None] @ starts[..., None])[..., 0]
+        outputs = (compose_layout(layout, params)[:, None, :, [0, 4]] @ inputs[..., None])[..., 0]  # |q 0 0>
         equal, residuals[name] = equal_up_to_global_phase(outputs, targets)
         ok = ok and bool(equal.all())
-    del params, inputs, starts, targets, outputs  # let go before the rows: about 40 MB at 20,001 steps
+    del params, inputs, targets, outputs  # let go before the rows: about 29 MB at 20,001 steps
     stack = np.stack(list(residuals.values()), axis=-1)  # one residual per (angle, input, variant), in row order
     angle, index, variant = np.indices(stack.shape).reshape(3, -1)
     columns = {"theta": np.take(grid, angle), "variant": np.take(list(residuals), variant), "input": index,

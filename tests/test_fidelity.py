@@ -193,6 +193,25 @@ def test_quadrature_routes_are_exact(angles, seed):
     assert np.abs(score_operator_quadrature(prior) - score).max() < 1e-13
 
 
+# basis index 4i + 2j + k (input i, clones j and k) carries the charge q = j + k - i, which the
+# phase rotation multiplies by e^{iq phi}: what commutes with it couples only states of one charge
+CHARGE = np.array([j + k - i for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+OFF_SECTOR = CHARGE[:, None] != CHARGE[None, :]
+
+
+@given(angles=st.lists(POLAR_ANGLES, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+@example(angles=[0.0], seed=0)
+@example(angles=[math.pi], seed=0)
+@example(angles=[math.pi / 2], seed=0)
+def test_scores_and_the_mirror_machine_keep_the_charge_sectors(angles, seed):
+    assert {tuple(np.flatnonzero(CHARGE == q)) for q in set(CHARGE)} == {(0, 5, 6), (1, 2, 7), (3,), (4,)}
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(angles)))
+    prior = PriorDistribution(tuple(zip(angles, weights.tolist())))
+    for exact in (score_operator(prior), mirror_scores(angles), mpcc_choi(angles)):
+        assert not exact[..., OFF_SECTOR].any()
+    assert np.abs(score_operator_quadrature(prior)[OFF_SECTOR]).max() <= 1e-15
+
+
 # --- the fidelity functional ----------------------------------------------
 
 

@@ -1,20 +1,23 @@
 """The output bytes of mirror-clone, pinned: each run's sha256 against tests/output_sums.txt.
 
-The manifest covers the runs CI compares with the base commit, the CSV twin
-of the one-angle certify, two optimize runs and five --dump files, each run
-in process through cli.main.  A change that moves bytes edits the manifest.
+The manifest is the one list of pinned runs.  Each entry runs in process
+through cli.main on every host and must exit 0; CI's byte step reads the
+same file and compares every entry but the optimize ones with the base
+commit.  A change that moves bytes edits the manifest.
 
 `sweep` uses only math and element-wise NumPy, whose results are correctly
-rounded on any host, so its entries are compared everywhere.  The other
+rounded on any host, so its sums are compared everywhere.  The other
 subcommands go through BLAS or LAPACK (matrix products, vecdot, eigvalsh),
 whose last bits may differ under another NumPy or BLAS build or machine: on
-a host whose fingerprint differs from the manifest's, their entries skip and
-name both fingerprints.  On the recorded host no entry skips, so a byte move
-there fails; CI's comparison with the base commit covers other hosts.
+a host whose fingerprint differs from the manifest's, their sums skip after
+the run and name both fingerprints.  On the recorded host no entry skips, so
+a byte move there fails; CI's comparison with the base commit covers other
+hosts.
 """
 
 import hashlib
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from mirrorclone.cli import main
 
 MANIFEST = Path(__file__).resolve().parent / "output_sums.txt"
 HOST_FREE = {"sweep"}  # subcommands whose bytes no BLAS or LAPACK call reaches
+SUBCOMMANDS = {"sweep", "bloch", "certify", "circuits", "optimize"}
 
 
 def _host() -> str:
@@ -48,14 +52,20 @@ HOST = _host()
 
 
 def test_manifest_holds_every_pinned_run():
-    assert RECORDED_HOST is not None and len(ENTRIES) == 34
+    # the format CI's byte step reads too: it splits each line on whitespace and runs every entry once
+    assert MANIFEST.read_text(encoding="utf-8").count("\n# host: ") == 1 and len(ENTRIES) == 35
+    runs = [(entry.values[1], " ".join(entry.values[2].split())) for entry in ENTRIES]
+    assert len(set(runs)) == len(runs)
+    for digest, what, args in (entry.values for entry in ENTRIES):
+        assert re.fullmatch("[0-9a-f]{64}", digest) and what in ("stdout", "dump")
+        assert args.split()[0] in (SUBCOMMANDS if what == "stdout" else {"circuits"})
 
 
 @pytest.mark.parametrize("digest, what, args", ENTRIES)
 def test_output_bytes_match_the_manifest(digest, what, args, capsys, tmp_path):
-    if args.split()[0] not in HOST_FREE and HOST != RECORDED_HOST:
-        pytest.skip(f"BLAS-dependent bytes recorded on {RECORDED_HOST!r}, this host is {HOST!r}")
     dump = tmp_path / "dump.txt"
     assert main(args.split() + (["--dump", str(dump)] if what == "dump" else [])) == 0
     out = capsys.readouterr().out.encode() if what == "stdout" else dump.read_bytes()
+    if args.split()[0] not in HOST_FREE and HOST != RECORDED_HOST:
+        pytest.skip(f"ran, but BLAS-dependent bytes recorded on {RECORDED_HOST!r}, this host is {HOST!r}")
     assert hashlib.sha256(out).hexdigest() == digest
